@@ -13,11 +13,10 @@
 //! Run: `cargo run --release -p ceresz-bench --bin ablations`
 
 use ceresz_bench::{fields_of, Table, SEED};
-use ceresz_core::compressor2d::{compress_2d, Ceresz2dConfig};
 use ceresz_core::plan::{
     block_compress_cycles, state_bytes_after, zero_block_compress_cycles, StageCostModel,
 };
-use ceresz_core::{CereszConfig, Codec, ErrorBound, HeaderWidth};
+use ceresz_core::{CereszConfig, Codec, ErrorBound, HeaderWidth, Recipe, StageSpec};
 use datasets::{generate_field, DatasetId};
 
 fn main() {
@@ -43,12 +42,29 @@ fn predictor_ablation() {
     t.sep();
     let field = generate_field(DatasetId::CesmAtm, 0, SEED);
     let (rows, cols) = (field.dims[0], field.dims[1]);
+    // 8x8 tiles: the block size must equal tile².
+    let lorenzo2 = Recipe::new(&[
+        StageSpec::PreQuantize,
+        StageSpec::Lorenzo2d {
+            rows: rows as u32,
+            cols: cols as u32,
+            tile: 8,
+        },
+        StageSpec::FixedLength,
+    ])
+    .expect("valid recipe");
     for rel in [1e-2, 1e-3, 1e-4] {
         let bound = ErrorBound::Rel(rel);
         let one = Codec::new(CereszConfig::new(bound))
             .compress(&field.data)
             .expect("1-D");
-        let two = compress_2d(&field.data, rows, cols, &Ceresz2dConfig::new(bound)).expect("2-D");
+        let two = Codec::new(
+            CereszConfig::new(bound)
+                .with_recipe(lorenzo2)
+                .with_block_size(64),
+        )
+        .compress(&field.data)
+        .expect("2-D");
         // Gathering 8x8 tiles from a row-major stream needs 8 field rows
         // buffered per PE — compare against the 48 KB SRAM.
         let row_buffer = 8 * cols * 4;

@@ -1,8 +1,7 @@
 //! The unified compression entry point: [`Codec`].
 //!
-//! `Codec` subsumes the old `compress`/`compress_parallel` and the four
-//! `decompress*` free functions (now `#[deprecated]` shims over it). It
-//! dispatches on the configured [`Recipe`](crate::recipe::Recipe):
+//! `Codec` is the only host compression API. It dispatches on the configured
+//! [`Recipe`](crate::recipe::Recipe):
 //!
 //! - the **canonical** recipe routes to the original fused pipeline
 //!   (serial or rayon per [`Parallelism`]), emitting byte-identical v1

@@ -11,7 +11,7 @@ use rayon::prelude::*;
 
 use crate::block::{BlockCodec, BlockScratch, HeaderWidth};
 use crate::bound::ErrorBound;
-use crate::codec::{Codec, Parallelism};
+use crate::codec::Parallelism;
 use crate::quantize::QuantizeError;
 use crate::recipe::Recipe;
 use crate::stream::{scan_block_offsets, StreamHeader};
@@ -301,7 +301,8 @@ impl Compressed {
 /// Check that `data` would compress cleanly at `eps` without encoding it:
 /// quantize each block, form the Lorenzo residuals, and verify no residual
 /// exceeds the 31-bit wire format. Reproduces exactly the errors (and error
-/// indices) the serial [`compress`] would raise, in the same order.
+/// indices) the serial [`crate::Codec::compress`] would raise, in the same
+/// order.
 ///
 /// The WSE mapping layer runs this before injecting blocks into the fabric,
 /// so bad input data surfaces as the same typed [`CompressError`] the host
@@ -319,47 +320,6 @@ pub fn precheck_input(data: &[f32], eps: f64, block_size: usize) -> Result<(), C
         }
     }
     Ok(())
-}
-
-/// Compress `data` serially (the reference implementation).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Codec::compress` with `Parallelism::Serial`"
-)]
-pub fn compress(data: &[f32], cfg: &CereszConfig) -> Result<Compressed, CompressError> {
-    Codec::new(cfg.with_parallelism(Parallelism::Serial)).compress(data)
-}
-
-/// Compress `data` using rayon across block-aligned chunks.
-///
-/// Produces a stream byte-identical to [`compress`].
-#[deprecated(since = "0.1.0", note = "use `Codec::compress` (rayon is the default)")]
-pub fn compress_parallel(data: &[f32], cfg: &CereszConfig) -> Result<Compressed, CompressError> {
-    Codec::new(cfg.with_parallelism(Parallelism::Rayon)).compress(data)
-}
-
-/// Decompress a stream serially.
-#[deprecated(since = "0.1.0", note = "use `Codec::decompress`")]
-pub fn decompress(compressed: &Compressed) -> Result<Vec<f32>, CompressError> {
-    Codec::decompressor(Parallelism::Serial).decompress(&compressed.data)
-}
-
-/// Decompress a raw stream.
-#[deprecated(since = "0.1.0", note = "use `Codec::decompress`")]
-pub fn decompress_bytes(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
-    Codec::decompressor(Parallelism::Serial).decompress(bytes)
-}
-
-/// Decompress a stream with rayon, one task per run of blocks.
-#[deprecated(since = "0.1.0", note = "use `Codec::decompress`")]
-pub fn decompress_parallel(compressed: &Compressed) -> Result<Vec<f32>, CompressError> {
-    Codec::decompressor(Parallelism::Rayon).decompress(&compressed.data)
-}
-
-/// Parallel decompression from a raw stream.
-#[deprecated(since = "0.1.0", note = "use `Codec::decompress`")]
-pub fn decompress_bytes_parallel(bytes: &[u8]) -> Result<Vec<f32>, CompressError> {
-    Codec::decompressor(Parallelism::Rayon).decompress(bytes)
 }
 
 /// Serial canonical-pipeline compression (the reference implementation the
@@ -486,6 +446,7 @@ pub(crate) fn decompress_canonical_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
 
     fn wavy(n: usize) -> Vec<f32> {
         (0..n)
@@ -538,30 +499,6 @@ mod tests {
             Codec::decompressor(Parallelism::Rayon)
                 .decompress(&c.data)
                 .unwrap()
-        );
-    }
-
-    /// The `#[deprecated]` free-function shims stay byte-equivalent to the
-    /// `Codec` API during the migration window.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_codec() {
-        let data = wavy(10_007);
-        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let via_shim = compress(&data, &cfg).unwrap();
-        let via_codec = serial(&cfg).compress(&data).unwrap();
-        assert_eq!(via_shim.data, via_codec.data);
-        assert_eq!(via_shim.stats, via_codec.stats);
-        assert_eq!(compress_parallel(&data, &cfg).unwrap().data, via_codec.data);
-        let reference = Codec::decompressor(Parallelism::Serial)
-            .decompress(&via_codec.data)
-            .unwrap();
-        assert_eq!(decompress(&via_codec).unwrap(), reference);
-        assert_eq!(decompress_parallel(&via_codec).unwrap(), reference);
-        assert_eq!(decompress_bytes(&via_codec.data).unwrap(), reference);
-        assert_eq!(
-            decompress_bytes_parallel(&via_codec.data).unwrap(),
-            reference
         );
     }
 

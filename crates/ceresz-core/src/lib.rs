@@ -53,7 +53,6 @@ pub mod block;
 pub mod bound;
 pub mod codec;
 pub mod compressor;
-pub mod compressor2d;
 pub mod fixed_length;
 pub mod lorenzo;
 pub mod plan;
@@ -67,11 +66,6 @@ pub mod verify;
 pub use block::{BlockCodec, HeaderWidth};
 pub use bound::ErrorBound;
 pub use codec::{Codec, Parallelism};
-#[allow(deprecated)]
-pub use compressor::{
-    compress, compress_parallel, decompress, decompress_bytes, decompress_bytes_parallel,
-    decompress_parallel,
-};
 pub use compressor::{precheck_input, CereszConfig, CompressError, Compressed, CompressionStats};
 pub use recipe::{PlaneKind, Recipe, StageSpec};
 pub use stage::{Plane, Stage, StageCtx};

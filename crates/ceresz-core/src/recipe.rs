@@ -58,8 +58,8 @@ pub enum StageSpec {
     /// (`I64 → I64`).
     Lorenzo1d,
     /// id 3 — 2-D Lorenzo prediction within `tile × tile` tiles of a
-    /// row-major `rows × cols` field (`I64 → I64`), wired from the
-    /// [`crate::compressor2d`] ablation. Requires `block_size == tile²`.
+    /// row-major `rows × cols` field (`I64 → I64`), the predictor §3 of the
+    /// paper sets aside for throughput. Requires `block_size == tile²`.
     Lorenzo2d {
         /// Field rows.
         rows: u32,

@@ -189,8 +189,14 @@ impl Stage for Lorenzo1dStage {
     }
 }
 
-/// Tiled 2-D Lorenzo prediction: `I64 → I64`, tiles gathered from a
-/// row-major `rows × cols` field exactly like [`crate::compressor2d`].
+/// Tiled 2-D Lorenzo prediction: `I64 → I64`. The row-major `rows × cols`
+/// field is cut into `tile × tile` tiles (zero-padded past the edges), each
+/// predicted independently, so every tile stays decodable on its own.
+///
+/// This is the higher-dimensional predictor §3 of the paper sets aside for
+/// throughput: a PE compressing a tile must gather `tile` strided field
+/// rows, so the west-edge streaming order no longer matches memory order.
+/// It exists here so that trade-off can be measured (the `ablations` bench).
 struct Lorenzo2dStage {
     rows: usize,
     cols: usize,

@@ -1,11 +1,13 @@
 //! Decompression mapped onto the mesh (§3 "Decompression Steps", §4.2 last
 //! paragraph).
 //!
-//! Row-parallel decompression with the paper's two-phase receive: a PE first
-//! receives the block header (one wavelet under the 4-byte CereSZ headers),
-//! learns the fixed length `f`, then receives exactly the `1 + f` plane
-//! wavelets that follow — no maximum scan, which is why decompression is
-//! faster than compression.
+//! One driver, [`run_pipeline_decompress`], runs a decompression pipeline
+//! per PE row. Its first PE uses the paper's two-phase receive: it receives
+//! the block header (one wavelet under the 4-byte CereSZ headers), learns
+//! the fixed length `f`, then receives exactly the `1 + f` plane wavelets
+//! that follow — no maximum scan, which is why decompression is faster than
+//! compression. A pipeline of length 1 is row-parallel decompression
+//! (strategy 1): each row's only PE decodes whole blocks.
 
 use ceresz_core::block::BlockCodec;
 use ceresz_core::compressor::{CompressError, Compressed};
@@ -13,6 +15,7 @@ use ceresz_core::plan::{
     decompression_sub_stages, distribute_stages, StageCostModel, SubStageKind,
 };
 use ceresz_core::stream::{scan_block_offsets, StreamHeader};
+use ceresz_core::HeaderWidth;
 use wse_sim::{
     Color, Direction, MeshConfig, PeId, PeProgram, SimError, SimStats, Simulator, TaskCtx, TaskId,
     Time,
@@ -22,6 +25,7 @@ use crate::error::WseError;
 use crate::harness::{colors, tasks};
 use crate::kernels::DecompressState;
 use crate::row_parallel::kernel_error;
+use crate::strategy::StrategyKind;
 use crate::wire::{WaveletReader, WaveletWriter};
 
 /// Wavelets in one sign/bit plane for block size `l`.
@@ -35,82 +39,7 @@ fn decomp_frame_words(l: usize) -> usize {
     3 + plane_words(l) + 31 * plane_words(l) + l + 1
 }
 
-/// Program decompressing whole blocks on one PE with two-phase receives.
-struct RowDecompressor {
-    codec: BlockCodec,
-    eps: f64,
-    blocks_remaining: usize,
-    /// Fixed length parsed from the header awaiting its body.
-    pending_f: Option<u32>,
-}
-
-impl RowDecompressor {
-    fn emit_restored(&mut self, ctx: &mut TaskCtx<'_>, restored: &[f32]) {
-        let mut w = WaveletWriter::new();
-        for &v in restored {
-            w.put_f32(v);
-        }
-        ctx.emit(w.finish());
-        self.blocks_remaining -= 1;
-        if self.blocks_remaining > 0 {
-            ctx.recv_async(colors::DATA, 1, tasks::RECV);
-        }
-    }
-}
-
-impl PeProgram for RowDecompressor {
-    fn on_task(&mut self, ctx: &mut TaskCtx<'_>, task: TaskId) -> Result<(), SimError> {
-        let l = self.codec.block_size();
-        if task == tasks::RECV {
-            // Phase 1: the header wavelet.
-            let words = ctx.take_received(colors::DATA);
-            debug_assert_eq!(words.len(), 1);
-            let f = words[0];
-            if f > BlockCodec::MAX_FIXED_LENGTH {
-                return Err(kernel_error(
-                    ctx.pe(),
-                    CompressError::CorruptHeader { fixed_length: f },
-                ));
-            }
-            if f == 0 {
-                // Zero block: nothing follows; reconstruct immediately.
-                ctx.begin_stage("zero-fill");
-                ctx.charge(wse_sim::Op::MemSet, l as u64);
-                let restored = vec![0.0f32; l];
-                self.emit_restored(ctx, &restored);
-            } else {
-                self.pending_f = Some(f);
-                ctx.recv_async(
-                    colors::DATA,
-                    (1 + f as usize) * plane_words(l),
-                    tasks::RECV_BODY,
-                );
-            }
-        } else {
-            // Phase 2: signs + planes.
-            debug_assert_eq!(task, tasks::RECV_BODY);
-            let f = self.pending_f.take().expect("body without header");
-            let words = ctx.take_received(colors::DATA);
-            // Reassemble the block bytes as the codec lays them out.
-            let mut bytes = Vec::with_capacity(self.codec.encoded_size(f));
-            bytes.extend_from_slice(&f.to_le_bytes());
-            let mut r = WaveletReader::new(&words);
-            let body = r
-                .get_bytes((1 + f as usize) * self.codec.plane_bytes())
-                .map_err(|_| kernel_error(ctx.pe(), CompressError::Truncated))?;
-            bytes.extend_from_slice(&body);
-            let (state, _) = DecompressState::from_encoded(&bytes, &self.codec, self.eps, ctx)
-                .map_err(|e| kernel_error(ctx.pe(), e))?;
-            let restored = state
-                .finish(self.eps, ctx)
-                .map_err(|e| kernel_error(ctx.pe(), e))?;
-            self.emit_restored(ctx, &restored);
-        }
-        Ok(())
-    }
-}
-
-/// Result of a simulated row-parallel decompression run.
+/// Result of a simulated decompression run.
 #[derive(Debug)]
 pub struct DecompressRun {
     /// The reconstructed values.
@@ -131,68 +60,6 @@ impl DecompressRun {
         self.stats
             .throughput_gbps(self.original_bytes, wse_sim::CLOCK_HZ)
     }
-}
-
-/// Decompress `compressed` on `rows` simulated PE rows (strategy 1).
-pub fn run_row_decompress(compressed: &Compressed, rows: usize) -> Result<DecompressRun, WseError> {
-    assert!(rows > 0, "need at least one row");
-    let header = StreamHeader::read(&compressed.data)?;
-    assert!(
-        matches!(header.header_width, ceresz_core::HeaderWidth::W4),
-        "the WSE mapping requires wavelet-aligned (4-byte) block headers"
-    );
-    let payload = &compressed.data[ceresz_core::stream::STREAM_HEADER_BYTES..];
-    let codec = header.codec();
-    let offsets = scan_block_offsets(&header, payload)?;
-
-    // Pack each encoded block as wavelets: header word, then signs+planes.
-    let mut per_row_blocks: Vec<Vec<Vec<u32>>> = vec![Vec::new(); rows];
-    for (b, &off) in offsets.iter().enumerate() {
-        let f = u32::from_le_bytes(payload[off..off + 4].try_into().expect("sized"));
-        let size = codec.encoded_size(f);
-        let mut w = WaveletWriter::new();
-        w.put_u32(f);
-        w.put_bytes(&payload[off + 4..off + size]);
-        per_row_blocks[b % rows].push(w.finish());
-    }
-
-    let mut sim = Simulator::new(MeshConfig::new(rows, 1));
-    for (r, row_blocks) in per_row_blocks.into_iter().enumerate() {
-        if row_blocks.is_empty() {
-            continue;
-        }
-        let pe = PeId::new(r, 0);
-        sim.set_program(
-            pe,
-            Box::new(RowDecompressor {
-                codec,
-                eps: header.eps,
-                blocks_remaining: row_blocks.len(),
-                pending_f: None,
-            }),
-        );
-        sim.post_recv(pe, colors::DATA, 1, tasks::RECV);
-        sim.inject_blocks(pe, colors::DATA, row_blocks, Time::ZERO);
-    }
-
-    let report = sim.run().map_err(WseError::Sim)?;
-    let mut restored = vec![0f32; header.count];
-    for (b, chunk) in restored.chunks_mut(header.block_size).enumerate() {
-        let outs = report.outputs(PeId::new(b % rows, 0));
-        let words = &outs[b / rows];
-        let mut r = WaveletReader::new(words);
-        for v in chunk.iter_mut() {
-            *v = r
-                .get_f32()
-                .map_err(|_| WseError::from(CompressError::Truncated))?;
-        }
-    }
-    Ok(DecompressRun {
-        restored,
-        stats: report.stats().clone(),
-        rows,
-        original_bytes: header.count * 4,
-    })
 }
 
 /// One PE of a decompression pipeline (strategy 2 applied to decompression,
@@ -313,18 +180,37 @@ impl PeProgram for DecompPipePe {
 /// (one pipeline per row). The stage split uses Algorithm 1 over the
 /// decompression sub-stages at the stream's exact maximum fixed length
 /// (known from the block headers — no sampling needed on this side).
+/// `pipeline_length = 1` is row-parallel decompression.
+///
+/// Zero rows or pipeline length return [`WseError::InvalidStrategy`]. A
+/// stream the kernels cannot decode — 1-byte block headers, which are not
+/// wavelet-aligned, or a recipe other than the canonical one — returns
+/// [`WseError::DoesNotFit`].
 pub fn run_pipeline_decompress(
     compressed: &Compressed,
     rows: usize,
     pipeline_length: usize,
 ) -> Result<DecompressRun, WseError> {
-    assert!(rows > 0 && pipeline_length > 0);
-    let header = StreamHeader::read(&compressed.data)?;
-    assert!(
-        matches!(header.header_width, ceresz_core::HeaderWidth::W4),
-        "the WSE mapping requires wavelet-aligned (4-byte) block headers"
-    );
-    let payload = &compressed.data[ceresz_core::stream::STREAM_HEADER_BYTES..];
+    StrategyKind::Pipeline {
+        rows,
+        pipeline_length,
+    }
+    .validate()?;
+    let (header, header_len) = StreamHeader::read_prefix(&compressed.data)?;
+    if header.header_width != HeaderWidth::W4 {
+        return Err(WseError::DoesNotFit {
+            reason: "the decompression mapping needs wavelet-aligned (4-byte) block headers".into(),
+        });
+    }
+    if !header.recipe.is_canonical() {
+        return Err(WseError::DoesNotFit {
+            reason: format!(
+                "the decompression kernels run only the canonical recipe, not `{}`",
+                header.recipe
+            ),
+        });
+    }
+    let payload = &compressed.data[header_len..];
     let codec = header.codec();
     let offsets = scan_block_offsets(&header, payload)?;
 
@@ -414,7 +300,7 @@ pub fn run_pipeline_decompress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism};
+    use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism, Recipe, StageSpec};
 
     fn wavy(n: usize) -> Vec<f32> {
         (0..n)
@@ -431,7 +317,7 @@ mod tests {
             .decompress(&c.data)
             .unwrap();
         for rows in [1usize, 3, 8] {
-            let run = run_row_decompress(&c, rows).unwrap();
+            let run = run_pipeline_decompress(&c, rows, 1).unwrap();
             assert_eq!(run.restored, host, "rows = {rows}");
         }
     }
@@ -449,7 +335,7 @@ mod tests {
             &crate::SimOptions::default(),
         )
         .unwrap();
-        let decomp = run_row_decompress(&comp.compressed, 4).unwrap();
+        let decomp = run_pipeline_decompress(&comp.compressed, 4, 1).unwrap();
         assert!(
             decomp.stats.finish_cycle < comp.stats.finish_cycle,
             "decomp {} vs comp {}",
@@ -464,7 +350,7 @@ mod tests {
         data.extend(wavy(32 * 8));
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-2));
         let c = Codec::new(cfg).compress(&data).unwrap();
-        let run = run_row_decompress(&c, 2).unwrap();
+        let run = run_pipeline_decompress(&c, 2, 1).unwrap();
         assert_eq!(run.restored.len(), data.len());
         let host = Codec::decompressor(Parallelism::Serial)
             .decompress(&c.data)
@@ -504,9 +390,46 @@ mod tests {
         let data = wavy(32 * 256);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
         let c = Codec::new(cfg).compress(&data).unwrap();
-        let t1 = run_row_decompress(&c, 1).unwrap();
-        let t8 = run_row_decompress(&c, 8).unwrap();
+        let t1 = run_pipeline_decompress(&c, 1, 1).unwrap();
+        let t8 = run_pipeline_decompress(&c, 8, 1).unwrap();
         let speedup = t1.stats.finish_cycle.ticks() as f64 / t8.stats.finish_cycle.ticks() as f64;
         assert!((speedup - 8.0).abs() < 1.0, "speedup = {speedup}");
+    }
+
+    #[test]
+    fn zero_rows_is_a_typed_error() {
+        let c = Codec::new(CereszConfig::new(ErrorBound::Rel(1e-3)))
+            .compress(&wavy(32 * 4))
+            .unwrap();
+        for (rows, len) in [(0, 1), (2, 0)] {
+            let err = run_pipeline_decompress(&c, rows, len).unwrap_err();
+            assert!(
+                matches!(err, WseError::InvalidStrategy { .. }),
+                "{rows}x{len}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_byte_block_headers_are_a_typed_error() {
+        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3)).with_header(HeaderWidth::W1);
+        let c = Codec::new(cfg).compress(&wavy(32 * 4)).unwrap();
+        let err = run_pipeline_decompress(&c, 2, 1).unwrap_err();
+        assert!(matches!(err, WseError::DoesNotFit { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn huffman_recipe_stream_is_a_typed_error() {
+        let recipe = Recipe::new(&[
+            StageSpec::PreQuantize,
+            StageSpec::Lorenzo1d,
+            StageSpec::FixedLength,
+            StageSpec::Huffman,
+        ])
+        .unwrap();
+        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3)).with_recipe(recipe);
+        let c = Codec::new(cfg).compress(&wavy(32 * 4)).unwrap();
+        let err = run_pipeline_decompress(&c, 2, 1).unwrap_err();
+        assert!(matches!(err, WseError::DoesNotFit { .. }), "{err:?}");
     }
 }

@@ -1,8 +1,6 @@
 //! Simulation options shared by every mapping strategy, plus the static
 //! manifest builder used by `ceresz lint` and the conformance fuzzer.
 //!
-//! [`MappingStrategy`] is the historical name of [`StrategyKind`] and stays
-//! available as a plain re-export (not deprecated — it is the same type).
 //! All execution goes through the unified [`crate::execute`] API, which
 //! returns a [`crate::StrategyRun`].
 
@@ -12,12 +10,7 @@ use crate::error::WseError;
 use telemetry::Recorder;
 use wse_sim::{EngineMode, FlightConfig, MeshConfig, Time};
 
-use crate::strategy::Strategy;
-
-pub use crate::strategy::StrategyKind;
-
-/// Historical name of [`StrategyKind`], kept for existing callers.
-pub use crate::strategy::StrategyKind as MappingStrategy;
+use crate::strategy::{Strategy, StrategyKind};
 
 /// Observability, verification, and execution options for a simulated run,
 /// shared by all mapping strategies. The default (`trace` off, disabled
@@ -202,7 +195,7 @@ impl SimOptions {
 pub fn mapping_manifest(
     data: &[f32],
     cfg: &CereszConfig,
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
 ) -> Result<wse_verify::MappingManifest, WseError> {
     strategy.validate()?;
     let options = SimOptions::default();

@@ -13,7 +13,8 @@ pub enum WseError {
     /// The simulated machine failed (deadlock, out of SRAM, bad routing).
     Sim(SimError),
     /// The requested configuration cannot fit the wafer (e.g. the per-PE
-    /// working set exceeds 48 KB at every pipeline length).
+    /// working set exceeds 48 KB at every pipeline length), or a stream's
+    /// layout is one the mapped kernels cannot decode.
     DoesNotFit {
         /// Human-readable explanation with the numbers.
         reason: String,

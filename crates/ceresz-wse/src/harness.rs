@@ -87,12 +87,6 @@ pub fn parse_emitted(words: &[u32]) -> Result<Vec<u8>, CompressError> {
     r.get_bytes(n).map_err(|_| CompressError::Truncated)
 }
 
-/// Round-robin block distribution: which row processes block `b` of `n_rows`.
-#[must_use]
-pub fn row_of_block(b: usize, n_rows: usize) -> usize {
-    b % n_rows
-}
-
 /// Concatenate encoded blocks — already in block order — into the
 /// self-describing stream the host compressor produces, recovering per-block
 /// statistics from each block's header byte(s).
@@ -138,28 +132,6 @@ pub fn assemble_blocks(
     }
     stats.compressed_bytes = out.len();
     Ok(Compressed { data: out, stats })
-}
-
-/// Reassemble per-row emissions (round-robin distributed) into a stream.
-///
-/// `per_row[r][i]` must be the encoded bytes of the `i`-th block assigned to
-/// row `r`. Block `b` lives at `per_row[b % rows][b / rows]`.
-pub fn assemble_stream(
-    header: &StreamHeader,
-    per_row: &[Vec<Vec<u8>>],
-    n_blocks: usize,
-) -> Result<Compressed, CompressError> {
-    let rows = per_row.len();
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for b in 0..n_blocks {
-        let row = &per_row[b % rows];
-        let idx = b / rows;
-        if idx >= row.len() {
-            return Err(CompressError::Truncated);
-        }
-        blocks.push(row[idx].clone());
-    }
-    assemble_blocks(header, &blocks)
 }
 
 /// Padded frame size (in wavelets) for inter-PE transfers of intermediate
@@ -232,27 +204,5 @@ mod tests {
             state = state.step_once(0.5).unwrap();
         }
         assert!(state.to_wavelets().len() <= cap);
-    }
-
-    #[test]
-    fn assemble_stream_matches_reference() {
-        use ceresz_core::{CereszConfig, Codec, ErrorBound};
-        let data: Vec<f32> = (0..321).map(|i| (i as f32 * 0.1).sin()).collect();
-        let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
-        let reference = Codec::new(cfg).compress(&data).unwrap();
-        let header = reference.header().unwrap();
-        // Simulate 3-row round-robin processing with the block codec.
-        let rows = 3;
-        let codec = header.codec();
-        let blocks = split_blocks(&data, header.block_size);
-        let mut per_row: Vec<Vec<Vec<u8>>> = vec![Vec::new(); rows];
-        for (b, block) in blocks.iter().enumerate() {
-            let mut bytes = Vec::new();
-            codec.encode_block(block, header.eps, &mut bytes).unwrap();
-            per_row[b % rows].push(bytes);
-        }
-        let assembled = assemble_stream(&header, &per_row, blocks.len()).unwrap();
-        assert_eq!(assembled.data, reference.data);
-        assert_eq!(assembled.stats, reference.stats);
     }
 }

@@ -27,14 +27,18 @@
 //! measured cycles reproduce the paper's profiling tables and scaling
 //! figures.
 //!
+//! [`decompress_map`] runs decompression on the mesh with the paper's
+//! two-phase receive, one stage pipeline per row (length 1 is the
+//! row-parallel case).
+//!
 //! [`throughput`] adds the full-wafer analytic engine: the same per-block
-//! cycle accounting fed through the paper's Eq. (4) closed form, used for
-//! the 512×512 and 750×994 configurations that are too large to event-step.
+//! cycle accounting fed through the paper's Eq. (4) closed form. It is the
+//! fast predictor for the 512×512 and 750×994 configurations; the full
+//! usable 750×994 mesh also event-steps directly through [`execute`].
 
 #![forbid(unsafe_code)]
 pub mod analyze;
 pub mod decompress_map;
-pub mod distributor;
 pub mod engine;
 pub mod error;
 pub mod harness;
@@ -50,7 +54,7 @@ pub mod throughput;
 pub mod wire;
 
 pub use analyze::{analyze_mapping, check_soundness, mem_peaks, profile_json, SoundnessReport};
-pub use engine::{mapping_manifest, MappingStrategy, SimOptions};
+pub use engine::{mapping_manifest, SimOptions};
 pub use error::WseError;
 pub use mapping::MappedMesh;
 pub use observe::{observe, ObserveReport};

@@ -17,9 +17,9 @@ use ceresz_core::plan::{CompressionPlan, PipelineModel};
 use telemetry::profile::{ProfileReport, StageCycles};
 use telemetry::{Recorder, TelemetrySnapshot};
 
-use crate::engine::{MappingStrategy, SimOptions};
+use crate::engine::SimOptions;
 use crate::error::WseError;
-use crate::strategy::{execute, StrategyRun};
+use crate::strategy::{execute, StrategyKind, StrategyRun};
 
 /// Everything a profiled run produces.
 pub struct CompressionProfile {
@@ -39,7 +39,7 @@ pub struct CompressionProfile {
 pub fn profile_compression(
     data: &[f32],
     cfg: &CereszConfig,
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
 ) -> Result<CompressionProfile, WseError> {
     profile_compression_with(data, cfg, strategy, &SimOptions::default())
 }
@@ -51,7 +51,7 @@ pub fn profile_compression(
 pub fn profile_compression_with(
     data: &[f32],
     cfg: &CereszConfig,
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
     options: &SimOptions,
 ) -> Result<CompressionProfile, WseError> {
     let recorder = Recorder::enabled();
@@ -89,7 +89,7 @@ pub fn profile_compression_with(
 /// is available. Also used by the bench binaries to emit `profile.json`.
 #[must_use]
 pub fn build_report(
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
     block_size: usize,
     sim_report: &wse_sim::RunReport,
     plan: Option<&CompressionPlan>,
@@ -166,7 +166,7 @@ mod tests {
         let profile = profile_compression(
             &data,
             &cfg,
-            MappingStrategy::Pipeline {
+            StrategyKind::Pipeline {
                 rows: 2,
                 pipeline_length: 4,
             },
@@ -180,12 +180,12 @@ mod tests {
         let data = wavy(32 * 24);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
         for strategy in [
-            MappingStrategy::RowParallel { rows: 2 },
-            MappingStrategy::Pipeline {
+            StrategyKind::RowParallel { rows: 2 },
+            StrategyKind::Pipeline {
                 rows: 1,
                 pipeline_length: 3,
             },
-            MappingStrategy::MultiPipeline {
+            StrategyKind::MultiPipeline {
                 rows: 1,
                 pipeline_length: 2,
                 pipelines_per_row: 2,
@@ -206,7 +206,7 @@ mod tests {
         let data = wavy(32 * 64);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
         let profile =
-            profile_compression(&data, &cfg, MappingStrategy::RowParallel { rows: 2 }).unwrap();
+            profile_compression(&data, &cfg, StrategyKind::RowParallel { rows: 2 }).unwrap();
         let groups: std::collections::BTreeMap<_, _> =
             profile.report.grouped().into_iter().collect();
         let encode = groups["encode"];
@@ -225,7 +225,7 @@ mod tests {
         let profile = profile_compression(
             &data,
             &cfg,
-            MappingStrategy::MultiPipeline {
+            StrategyKind::MultiPipeline {
                 rows: 1,
                 pipeline_length: 1,
                 pipelines_per_row: 4,
@@ -246,7 +246,7 @@ mod tests {
         let profile = profile_compression(
             &data,
             &cfg,
-            MappingStrategy::Pipeline {
+            StrategyKind::Pipeline {
                 rows: 1,
                 pipeline_length: 2,
             },
@@ -263,7 +263,7 @@ mod tests {
         let data = wavy(32 * 8);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-2));
         let profile =
-            profile_compression(&data, &cfg, MappingStrategy::RowParallel { rows: 1 }).unwrap();
+            profile_compression(&data, &cfg, StrategyKind::RowParallel { rows: 1 }).unwrap();
         assert!(profile.snapshot.counters["sim.tasks"] > 0);
         assert!(profile
             .snapshot
@@ -276,7 +276,7 @@ mod tests {
     fn flight_sampling_adds_counter_tracks_to_the_trace() {
         let data = wavy(32 * 8);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-2));
-        let strategy = MappingStrategy::Pipeline {
+        let strategy = StrategyKind::Pipeline {
             rows: 1,
             pipeline_length: 2,
         };

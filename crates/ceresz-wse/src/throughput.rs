@@ -1,9 +1,10 @@
 //! Full-wafer analytic throughput engine.
 //!
-//! Event-stepping a 512×512 or 750×994 mesh over hundreds of millions of
-//! elements is intractable; the paper itself reasons about these sizes with
-//! the closed-form cost model of §4.3/§4.4 (Eqs. 2–4), validated by profiling
-//! at small scale. We do the same:
+//! A single 750×994 round event-steps in seconds, but sweeping every dataset
+//! and bound over hundreds of millions of elements that way is slow; the
+//! paper itself reasons about these sizes with the closed-form cost model of
+//! §4.3/§4.4 (Eqs. 2–4), validated by profiling at small scale. We do the
+//! same:
 //!
 //! 1. run the *real* kernels over the data on the host, charging the same
 //!    calibrated cost model the simulator uses, to obtain the exact mean

@@ -7,7 +7,7 @@
 //! (or by re-running just that case from its recorded `case_seed`).
 
 use ceresz_core::{CereszConfig, ErrorBound, HeaderWidth, Recipe, StageSpec};
-use ceresz_wse::MappingStrategy;
+use ceresz_wse::StrategyKind;
 
 use crate::rng::Rng;
 
@@ -73,7 +73,7 @@ pub struct Case {
     /// Per-block header width.
     pub header: HeaderWidth,
     /// One shape of each mapping strategy to differentially test.
-    pub strategies: [MappingStrategy; 3],
+    pub strategies: [StrategyKind; 3],
     /// A randomly drawn (always well-typed) stage recipe, exercised by the
     /// recipe oracle. The canonical [`Self::config`] is untouched so the
     /// WSE differential oracle keeps testing the wafer-mappable pipeline.
@@ -125,14 +125,14 @@ impl Case {
         };
         let recipe = gen_recipe(&mut r);
         let strategies = [
-            MappingStrategy::RowParallel {
+            StrategyKind::RowParallel {
                 rows: 1 + r.below(3),
             },
-            MappingStrategy::Pipeline {
+            StrategyKind::Pipeline {
                 rows: 1 + r.below(3),
                 pipeline_length: 1 + r.below(4),
             },
-            MappingStrategy::MultiPipeline {
+            StrategyKind::MultiPipeline {
                 rows: 1 + r.below(2),
                 pipeline_length: 1 + r.below(3),
                 pipelines_per_row: 1 + r.below(3),

@@ -1,7 +1,6 @@
 //! Deterministic pseudo-randomness for the harness: xorshift64* seeded
 //! explicitly, so every generated case, mutation, and shrink step is exactly
-//! reproducible from `(seed, case index)`. No external dependency, in the
-//! spirit of the workspace's vendored-criterion approach.
+//! reproducible from `(seed, case index)`. No external dependency.
 
 /// A xorshift64* generator (Vigna 2016): tiny state, passes BigCrush's
 /// relevant batteries, and — unlike `rand`'s `StdRng` — guaranteed to

@@ -76,7 +76,7 @@ use ceresz::core::{
     max_abs_error, verify_error_bound, CereszConfig, Codec, ErrorBound, Parallelism, Recipe,
 };
 use ceresz::telemetry::Recorder;
-use ceresz::wse::{profile_compression_with, MappingStrategy, SimOptions};
+use ceresz::wse::{profile_compression_with, SimOptions, StrategyKind};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -470,7 +470,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 fn ceresz_profile(
     data: &[f32],
     cfg: &CereszConfig,
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
     threads: usize,
 ) -> Result<ceresz::wse::CompressionProfile, String> {
     let options = SimOptions::default().with_threads(threads.max(1));
@@ -479,14 +479,14 @@ fn ceresz_profile(
 
 /// The `--all-strategies` observation sweep: all three mappings on 64-row
 /// meshes, the pipelined two genuinely 64×64 (the acceptance shape).
-fn observe_sweep() -> Vec<MappingStrategy> {
+fn observe_sweep() -> Vec<StrategyKind> {
     vec![
-        MappingStrategy::RowParallel { rows: 64 },
-        MappingStrategy::Pipeline {
+        StrategyKind::RowParallel { rows: 64 },
+        StrategyKind::Pipeline {
             rows: 64,
             pipeline_length: 64,
         },
-        MappingStrategy::MultiPipeline {
+        StrategyKind::MultiPipeline {
             rows: 64,
             pipeline_length: 8,
             pipelines_per_row: 8,
@@ -496,7 +496,7 @@ fn observe_sweep() -> Vec<MappingStrategy> {
 
 /// Derive a per-strategy artifact path when one flag serves several runs:
 /// `heat.json` + `pipeline rows=64 len=64` → `heat.pipeline-rows-64-len-64.json`.
-fn suffixed(path: &str, strategy: MappingStrategy, many: bool) -> String {
+fn suffixed(path: &str, strategy: StrategyKind, many: bool) -> String {
     if !many {
         return path.to_owned();
     }
@@ -519,7 +519,7 @@ fn cmd_observe(args: &[String]) -> Result<(), String> {
         vec![flag_strategy(&f)?]
     } else {
         // Default acceptance shape: the 64×64-mesh multi-pipeline.
-        vec![MappingStrategy::MultiPipeline {
+        vec![StrategyKind::MultiPipeline {
             rows: 64,
             pipeline_length: 8,
             pipelines_per_row: 8,
@@ -670,14 +670,14 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 }
 
 /// Mapping strategy parsed from `--strategy`/`--rows`/`--len`/`--pipelines`.
-fn flag_strategy(f: &Flags) -> Result<MappingStrategy, String> {
+fn flag_strategy(f: &Flags) -> Result<StrategyKind, String> {
     match f.strategy.as_str() {
-        "row-parallel" => Ok(MappingStrategy::RowParallel { rows: f.rows }),
-        "pipeline" => Ok(MappingStrategy::Pipeline {
+        "row-parallel" => Ok(StrategyKind::RowParallel { rows: f.rows }),
+        "pipeline" => Ok(StrategyKind::Pipeline {
             rows: f.rows,
             pipeline_length: f.len,
         }),
-        "multi-pipeline" => Ok(MappingStrategy::MultiPipeline {
+        "multi-pipeline" => Ok(StrategyKind::MultiPipeline {
             rows: f.rows,
             pipeline_length: f.len,
             pipelines_per_row: f.pipelines,
@@ -691,14 +691,14 @@ fn flag_strategy(f: &Flags) -> Result<MappingStrategy, String> {
 /// The EXPERIMENTS.md shape sweep: every strategy × mesh shape the
 /// reproduction exercises (row counts from Fig. 7, pipeline lengths from
 /// Fig. 13, multi-pipeline combinations from Figs. 10–13).
-fn lint_sweep() -> Vec<MappingStrategy> {
+fn lint_sweep() -> Vec<StrategyKind> {
     let mut s = Vec::new();
     for rows in [1usize, 2, 4, 8, 16, 32] {
-        s.push(MappingStrategy::RowParallel { rows });
+        s.push(StrategyKind::RowParallel { rows });
     }
     for rows in [1usize, 2] {
         for len in [1usize, 2, 3, 4, 8] {
-            s.push(MappingStrategy::Pipeline {
+            s.push(StrategyKind::Pipeline {
                 rows,
                 pipeline_length: len,
             });
@@ -715,7 +715,7 @@ fn lint_sweep() -> Vec<MappingStrategy> {
         (4, 2),
     ] {
         for rows in [1usize, 2] {
-            s.push(MappingStrategy::MultiPipeline {
+            s.push(StrategyKind::MultiPipeline {
                 rows,
                 pipeline_length: len,
                 pipelines_per_row: p,
@@ -756,7 +756,7 @@ fn diagnostic_json(d: &ceresz::wse::verify::Diagnostic) -> ceresz::telemetry::js
 /// The per-mapping entry of the `lint --json` document.
 fn lint_mapping_json(
     name: &str,
-    strategy: MappingStrategy,
+    strategy: StrategyKind,
     diags: &[ceresz::wse::verify::Diagnostic],
     analysis: Option<&(
         ceresz::wse::verify::StaticProfile,

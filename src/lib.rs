@@ -17,18 +17,18 @@
 //! * [`telemetry`] — profiling primitives (counters, histograms, spans) and
 //!   the Perfetto / `profile.json` exporters behind `ceresz profile`.
 //! * [`conformance`] — the seed-driven differential fuzzing harness behind
-//!   `ceresz fuzz` (four oracles: differential, roundtrip, mutation,
-//!   baselines).
+//!   `ceresz fuzz` (seven oracles: differential, roundtrip, mutation,
+//!   baselines, verifier, soundness, recipes).
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ceresz::core::{compress, decompress, CereszConfig, ErrorBound};
+//! use ceresz::core::{CereszConfig, Codec, ErrorBound};
 //!
 //! let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
-//! let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-//! let compressed = compress(&data, &cfg).unwrap();
-//! let restored = decompress(&compressed).unwrap();
+//! let codec = Codec::new(CereszConfig::new(ErrorBound::Rel(1e-3)));
+//! let compressed = codec.compress(&data).unwrap();
+//! let restored = codec.decompress(&compressed.data).unwrap();
 //! assert!(ceresz::core::verify_error_bound(&data, &restored, compressed.stats.eps));
 //! println!("ratio = {:.2}", compressed.ratio());
 //! ```

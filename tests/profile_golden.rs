@@ -6,7 +6,7 @@
 use ceresz::core::{CereszConfig, ErrorBound};
 use ceresz::telemetry::json::{self, JsonValue};
 use ceresz::telemetry::profile::ProfileReport;
-use ceresz::wse::{profile_compression, MappingStrategy};
+use ceresz::wse::{profile_compression, StrategyKind};
 
 fn wavy(n: usize) -> Vec<f32> {
     (0..n)
@@ -21,7 +21,7 @@ fn perfetto_trace_has_expected_tracks_and_slices() {
     let profile = profile_compression(
         &data,
         &cfg,
-        MappingStrategy::Pipeline {
+        StrategyKind::Pipeline {
             rows: 2,
             pipeline_length: 2,
         },
@@ -64,12 +64,12 @@ fn profile_json_stage_ticks_sum_to_total_busy_ticks() {
     let data = wavy(32 * 12);
     let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
     for strategy in [
-        MappingStrategy::RowParallel { rows: 3 },
-        MappingStrategy::Pipeline {
+        StrategyKind::RowParallel { rows: 3 },
+        StrategyKind::Pipeline {
             rows: 1,
             pipeline_length: 4,
         },
-        MappingStrategy::MultiPipeline {
+        StrategyKind::MultiPipeline {
             rows: 1,
             pipeline_length: 1,
             pipelines_per_row: 3,
@@ -109,8 +109,7 @@ fn profile_groups_reproduce_paper_ordering() {
     // then the one-pass Lorenzo predictor.
     let data = wavy(32 * 32);
     let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-    let profile =
-        profile_compression(&data, &cfg, MappingStrategy::RowParallel { rows: 4 }).unwrap();
+    let profile = profile_compression(&data, &cfg, StrategyKind::RowParallel { rows: 4 }).unwrap();
     let groups: std::collections::BTreeMap<&str, u64> =
         profile.report.grouped().into_iter().collect();
     assert!(groups["encode"] > groups["pre-quant"]);
