@@ -21,10 +21,10 @@ use wse_sim::{
     Time,
 };
 
+use crate::compress_map::{inter_color, kernel_error};
 use crate::error::WseError;
 use crate::harness::{colors, tasks};
 use crate::kernels::DecompressState;
-use crate::row_parallel::kernel_error;
 use crate::strategy::StrategyKind;
 use crate::wire::{WaveletReader, WaveletWriter};
 
@@ -243,9 +243,9 @@ pub fn run_pipeline_decompress(
             let in_color = if g == 0 {
                 colors::DATA
             } else {
-                crate::pipeline_map::inter_color(g - 1)
+                inter_color(g - 1)
             };
-            let out_color = (g + 1 < pipeline_length).then(|| crate::pipeline_map::inter_color(g));
+            let out_color = (g + 1 < pipeline_length).then(|| inter_color(g));
             if let Some(c) = out_color {
                 sim.route(pe, c, None, &[Direction::East]);
                 sim.route(

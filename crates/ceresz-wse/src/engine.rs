@@ -69,11 +69,12 @@ impl Default for SimOptions {
 
 impl SimOptions {
     /// Options for a full profiling run: timeline tracing plus an enabled
-    /// recorder (per-stage attribution, counters, histograms). Equivalent
-    /// to `SimOptions::default().with_profiling(true)`.
+    /// recorder (per-stage attribution, counters, histograms).
     #[must_use]
     pub fn profiled() -> Self {
-        Self::default().with_profiling(true)
+        Self::default()
+            .with_trace(true)
+            .with_recorder(Recorder::enabled())
     }
 
     /// Set timeline tracing.
@@ -120,28 +121,6 @@ impl SimOptions {
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// Switch full profiling (timeline tracing + an enabled recorder) on or
-    /// off. Unlike the other setters this touches both `trace` and
-    /// `recorder`; it still commutes with `with_verify` / `with_threads`.
-    #[must_use]
-    pub fn with_profiling(mut self, profiling: bool) -> Self {
-        self.trace = profiling;
-        self.recorder = if profiling {
-            Recorder::enabled()
-        } else {
-            Recorder::default()
-        };
-        self
-    }
-
-    /// Opt out of static verification (e.g. to reproduce a dynamic failure
-    /// the verifier would catch, or in the fuzzer's soundness oracle).
-    /// Equivalent to `with_verify(false)`.
-    #[must_use]
-    pub fn without_verify(self) -> Self {
-        self.with_verify(false)
     }
 
     /// Enable flight-recorder sampling with the given config.
@@ -406,15 +385,14 @@ mod tests {
 
     #[test]
     fn sim_options_builders_commute() {
-        // The historical bug: `without_verify()` then wanting profiling
-        // forced `SimOptions::profiled()`, a constructor, which silently
-        // reset verify back to true. Every with_* pair must now commute.
-        let a = SimOptions::default()
-            .with_verify(false)
-            .with_profiling(true);
+        // Opting out of verification and profiling compose in either
+        // order: `profiled()` must not reset `verify`. Every with_* pair
+        // must commute.
+        let a = SimOptions::profiled().with_verify(false);
         let b = SimOptions::default()
-            .with_profiling(true)
-            .with_verify(false);
+            .with_verify(false)
+            .with_trace(true)
+            .with_recorder(Recorder::enabled());
         assert!(!a.verify && !b.verify);
         assert!(a.trace && b.trace);
         assert!(a.recorder.is_enabled() && b.recorder.is_enabled());
@@ -425,16 +403,10 @@ mod tests {
         assert_eq!(c.trace, d.trace);
         assert!(c.verify && d.verify, "unrelated fields keep their defaults");
 
-        // profiled() is now a pure convenience for with_profiling(true).
+        // profiled() sets tracing and the recorder and nothing else.
         let p = SimOptions::profiled();
         assert!(p.trace && p.recorder.is_enabled() && p.verify);
         assert_eq!(p.threads, 1);
-
-        // without_verify composes with profiling in either order.
-        let e = SimOptions::profiled().without_verify();
-        let f = SimOptions::default().without_verify().with_profiling(true);
-        assert!(!e.verify && !f.verify);
-        assert!(e.trace && f.trace);
 
         // with_flight composes with the rest in any order.
         let g = SimOptions::default()

@@ -185,28 +185,21 @@ impl MemoEntry {
 
 /// Replay cache of per-block computations for one PE program.
 ///
-/// Holds shared *seed* entries, precomputed at map time for inputs the
+/// Holds a shared *seed* entry, precomputed at map time for the input the
 /// mapping knows will recur (the canonical all-zero padding block of sparse
 /// workloads — every pipeline sees the same bytes, so one recorded chain
 /// serves the whole mesh), plus one dynamically recorded entry for whatever
 /// this PE computed last.
 pub(crate) struct BlockMemo {
-    seeds: Vec<Arc<MemoEntry>>,
+    seed: Arc<MemoEntry>,
     dynamic: Option<MemoEntry>,
 }
 
 impl BlockMemo {
-    pub(crate) fn new() -> Self {
-        Self {
-            seeds: Vec::new(),
-            dynamic: None,
-        }
-    }
-
     /// A memo pre-populated with a shared entry.
     pub(crate) fn seeded(seed: Arc<MemoEntry>) -> Self {
         Self {
-            seeds: vec![seed],
+            seed,
             dynamic: None,
         }
     }
@@ -214,10 +207,7 @@ impl BlockMemo {
     /// If `words` matches a memoized input, replay the recorded charge
     /// stream into `charger` and return a clone of the recorded output.
     pub(crate) fn replay<C: Charger>(&self, words: &[u32], charger: &mut C) -> Option<Vec<u32>> {
-        let entry = self
-            .seeds
-            .iter()
-            .map(Arc::as_ref)
+        let entry = std::iter::once(self.seed.as_ref())
             .chain(self.dynamic.as_ref())
             .find(|e| e.input == words)?;
         entry.replay(charger);

@@ -1,20 +1,26 @@
 //! # ceresz-wse
 //!
 //! Mapping of the CereSZ compressor onto the (simulated) Cerebras wafer-scale
-//! engine — the paper's §4. Three parallelization strategies are implemented
-//! as real PE programs running on [`wse_sim`]:
+//! engine — the paper's §4. The paper's three parallelization strategies are
+//! parameterizations of one mapper, [`compress_map`], which plants `P` stage
+//! pipelines of `len` PEs on each PE row as real PE programs running on
+//! [`wse_sim`]:
 //!
-//! 1. **Row data-parallelism** ([`row_parallel`]): blocks are distributed
-//!    round-robin over PE rows; the first PE of each row runs the entire
-//!    compression. Independent rows give linear speedup (Fig. 7).
-//! 2. **Stage pipelining** ([`pipeline_map`]): the sub-stages (quantization
+//! 1. **Multi-pipeline data-parallelism** (§4.3, `P` pipelines per row): the
+//!    head PE of each pipeline relays raw blocks eastward, counting until
+//!    its own block arrives (Fig. 9).
+//! 2. **Stage pipelining** (§4.2, `P = 1`): the sub-stages (quantization
 //!    split in two, Lorenzo, and the four-way split of fixed-length encoding
-//!    with per-bit shuffles) are distributed over consecutive PEs of a row by
+//!    with per-bit shuffles) are distributed over the `len` PEs of a row by
 //!    the greedy Algorithm 1; intermediate block state streams eastward.
-//! 3. **Multi-pipeline data-parallelism** ([`multi_pipeline`]): with many
-//!    more columns than stages, several pipelines run per row; the head PE
-//!    of each pipeline relays raw blocks eastward, counting until its own
-//!    block arrives (Fig. 9).
+//! 3. **Row data-parallelism** (§4.1, `P = 1`, `len = 1`): each row's only
+//!    PE runs the entire compression. Independent rows give linear speedup
+//!    (Fig. 7). The pipelined strategies plan their stage groups, and size
+//!    each PE's SRAM, for the fixed length sampled from the data — the
+//!    sampling step the paper introduces in §4.2 to balance stages. Row
+//!    parallelism has no such step, so its PE is sized for any block: the
+//!    dispatcher hands the mapper a single-group plan at the worst-case
+//!    fixed length (all 31 planes).
 //!
 //! All three run behind the unified [`Strategy`] execution API: pick a
 //! [`StrategyKind`], call [`execute`], get a [`StrategyRun`]. The simulator
@@ -38,17 +44,15 @@
 
 #![forbid(unsafe_code)]
 pub mod analyze;
+pub mod compress_map;
 pub mod decompress_map;
 pub mod engine;
 pub mod error;
 pub mod harness;
 pub mod kernels;
 pub mod mapping;
-pub mod multi_pipeline;
 pub mod observe;
-pub mod pipeline_map;
 pub mod profile;
-pub mod row_parallel;
 pub mod strategy;
 pub mod throughput;
 pub mod wire;

@@ -1,10 +1,6 @@
 //! The unified strategy execution API: one [`Strategy`] trait all three of
 //! the paper's mappings implement, one [`execute`] entry point that runs any
-//! of them, and one [`StrategyRun`] result shape.
-//!
-//! Before this module existed, each strategy exposed its own
-//! `run_*` / `run_*_with` pair returning its own result struct, each with a
-//! copy-pasted `throughput_gbps`. The redesigned flow is a single pipeline:
+//! of them, and one [`StrategyRun`] result shape:
 //!
 //! ```text
 //! StrategyKind ── validate ──► MappedMesh ── Strategy::map ──► MapOutcome
@@ -21,11 +17,13 @@
 //! [`SimOptions::with_threads`]), output collection, and stream reassembly —
 //! is shared in [`execute`].
 
+use ceresz_core::block::BlockCodec;
 use ceresz_core::compressor::{CereszConfig, CompressError, Compressed};
-use ceresz_core::plan::CompressionPlan;
+use ceresz_core::plan::{CompressionPlan, StageCostModel};
 use ceresz_core::stream::StreamHeader;
 use wse_sim::{PeId, RunReport, SimStats};
 
+use crate::compress_map::map_compression;
 use crate::engine::SimOptions;
 use crate::error::WseError;
 use crate::harness::{assemble_blocks, parse_emitted};
@@ -134,8 +132,7 @@ impl StrategyKind {
     }
 }
 
-/// The mesh/manifest name of the mapping (e.g. `row-parallel rows=4`),
-/// identical to the names the pre-redesign builders recorded.
+/// The mesh/manifest name of the mapping (e.g. `row-parallel rows=4`).
 impl std::fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
@@ -241,39 +238,60 @@ impl Strategy for StrategyKind {
         self.to_string()
     }
 
+    /// All three strategies run the one compression mapper
+    /// ([`crate::compress_map`]); they differ only in the pipelines per row
+    /// and the plan passed to it.
     fn map(
         &self,
         mesh: &mut MappedMesh,
         data: &[f32],
         cfg: &CereszConfig,
     ) -> Result<MapOutcome, WseError> {
-        match *self {
+        let eps = cfg.resolve_eps(data)?;
+        ceresz_core::precheck_input(data, eps, cfg.block_size)?;
+        let model = StageCostModel::calibrated();
+        let sampled =
+            |len| CompressionPlan::from_sampled(data, cfg.bound, cfg.block_size, len, &model);
+        Ok(match *self {
             StrategyKind::RowParallel { rows } => {
-                crate::row_parallel::map_row_parallel(mesh, data, cfg, rows)
+                // One PE per row runs every stage. Row parallelism samples
+                // no fixed length, so the PE is sized for any block (all 31
+                // planes); that sizing plan is not reported as the run's
+                // plan, so row-parallel profiles carry no model terms.
+                let worst_case = CompressionPlan::for_fixed_length(
+                    BlockCodec::MAX_FIXED_LENGTH,
+                    cfg.block_size,
+                    1,
+                    &model,
+                );
+                MapOutcome {
+                    plan: None,
+                    ..map_compression(mesh, data, cfg, eps, rows, 1, worst_case)
+                }
             }
             StrategyKind::Pipeline {
                 rows,
                 pipeline_length,
-            } => crate::pipeline_map::map_pipeline(mesh, data, cfg, rows, pipeline_length),
+            } => map_compression(mesh, data, cfg, eps, rows, 1, sampled(pipeline_length)),
             StrategyKind::MultiPipeline {
                 rows,
                 pipeline_length,
                 pipelines_per_row,
-            } => crate::multi_pipeline::map_multi_pipeline(
+            } => map_compression(
                 mesh,
                 data,
                 cfg,
+                eps,
                 rows,
-                pipeline_length,
                 pipelines_per_row,
+                sampled(pipeline_length),
             ),
-        }
+        })
     }
 }
 
 /// Result of executing a strategy: the one result shape shared by all
-/// strategies (replacing the former per-strategy `RowParallelRun` /
-/// `PipelineRun` / `MultiPipelineRun` triplet).
+/// strategies.
 #[derive(Debug)]
 pub struct StrategyRun {
     /// The compressed stream (bit-identical to the host reference).

@@ -243,7 +243,7 @@ pub fn oracle_verifier(case: &Case) -> Result<(), String> {
                 "{strategy:?}: verifier rejects the shipped mapping: {first}"
             ));
         }
-        let options = SimOptions::default().without_verify();
+        let options = SimOptions::default().with_verify(false);
         if let Err(WseError::Sim(e)) = execute(strategy, &case.data, &cfg, &options) {
             match e {
                 SimError::Deadlock { .. }

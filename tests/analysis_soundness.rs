@@ -4,13 +4,14 @@
 //! (`wse_verify::analysis`) must produce bounds the dynamic run can never
 //! escape: per-link worst-case load ≥ flight-recorded occupancy, the
 //! critical-path lower bound ≤ the simulated makespan, the SRAM watermark ≥
-//! the observed peak, and the channel-dependency check must *prove* the
-//! mapping deadlock-free. `ceresz lint --analyze --all-strategies` sweeps
-//! all 32 EXPERIMENTS.md shapes in CI; this test pins a representative
-//! subset (every strategy family, 1-row and multi-row shapes) in the
-//! regular suite.
+//! the observed peak (and nonzero on every PE that computes), and the
+//! channel-dependency check must *prove* the mapping deadlock-free.
+//! `ceresz lint --analyze --all-strategies` sweeps all 32 EXPERIMENTS.md
+//! shapes in CI; this test pins a representative subset (every strategy
+//! family, 1-row and multi-row shapes) in the regular suite.
 
 use ceresz::core::{CereszConfig, ErrorBound};
+use ceresz::sim::Metric;
 use ceresz::wse::{
     analyze_mapping, check_soundness, mapping_manifest, observe, SimOptions, StrategyKind,
 };
@@ -113,6 +114,16 @@ fn static_bounds_dominate_the_observed_run_for_every_shape() {
                     manifest.name,
                     profile.sram_bound(pe)
                 );
+                // A PE that computes holds its stage group's working set:
+                // declared statically and reserved at run time.
+                if !rep.flight.pe(pe).metric_total(Metric::Busy).is_zero() {
+                    assert!(
+                        profile.sram_bound(pe) > 0 && peak > 0,
+                        "{}: busy {pe} declares {} B and reserves {peak} B of SRAM",
+                        manifest.name,
+                        profile.sram_bound(pe)
+                    );
+                }
             }
         }
     }
