@@ -413,9 +413,12 @@ pub(crate) fn map_compression(
 mod tests {
     use crate::engine::SimOptions;
     use crate::error::WseError;
-    use crate::strategy::{execute, StrategyKind, StrategyRun};
+    use crate::mapping::MappedMesh;
+    use crate::strategy::{
+        execute, execute_strategy, MapOutcome, Strategy, StrategyKind, StrategyRun,
+    };
     use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism};
-    use wse_sim::SimError;
+    use wse_sim::{Direction, SimError};
 
     fn wavy(n: usize) -> Vec<f32> {
         (0..n)
@@ -598,6 +601,75 @@ mod tests {
             Err(WseError::Sim(SimError::OutOfMemory { pe, .. })) => assert_eq!(pe.col, 0),
             Err(other) => panic!("expected OutOfMemory, got {other:?}"),
             Ok(_) => panic!("expected OutOfMemory, got Ok"),
+        }
+    }
+
+    /// A mapping whose first delivering rule into a stage PE is re-claimed,
+    /// after the fact, to accept from the north instead of the west.
+    struct Reclaimed(StrategyKind);
+
+    impl Strategy for Reclaimed {
+        fn name(&self) -> &'static str {
+            "reclaimed"
+        }
+
+        fn mesh_shape(&self) -> (usize, usize) {
+            self.0.mesh_shape()
+        }
+
+        fn map(
+            &self,
+            mesh: &mut MappedMesh,
+            data: &[f32],
+            cfg: &CereszConfig,
+        ) -> Result<MapOutcome, WseError> {
+            let outcome = self.0.map(mesh, data, cfg)?;
+            let first = mesh
+                .manifest()
+                .routes
+                .iter()
+                .find(|r| r.rule.input == Some(Direction::West))
+                .cloned()
+                .expect("a stage stream enters from the west");
+            mesh.route(
+                first.pe,
+                first.color,
+                Some(Direction::North),
+                &first.rule.outputs,
+            );
+            Ok(outcome)
+        }
+    }
+
+    #[test]
+    fn reclaimed_route_is_judged_by_its_last_claim() {
+        // The fabric keeps the last claim, so the stream the first claim
+        // would deliver arrives from a direction the rule no longer accepts:
+        // the verifier must locate the defect where the simulator trips.
+        let data = wavy(32 * 8);
+        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
+        let strategy = Reclaimed(multi(1, 2, 1));
+        let rejected = match execute_strategy(&strategy, &data, &cfg, &SimOptions::default()) {
+            Err(WseError::MappingRejected { diagnostics, .. }) => diagnostics,
+            other => panic!("expected MappingRejected, got {other:?}"),
+        };
+        let route = rejected
+            .iter()
+            .find(|d| d.check == wse_verify::CheckKind::RouteSoundness)
+            .unwrap_or_else(|| panic!("no route diagnostic in {rejected:?}"));
+        assert!(
+            route
+                .message
+                .contains("arrives from Some(West) but the rule accepts Some(North)"),
+            "{route}"
+        );
+        let opts = SimOptions::default().with_verify(false);
+        match execute_strategy(&strategy, &data, &cfg, &opts) {
+            Err(WseError::Sim(SimError::RouteMismatch { pe, color })) => {
+                assert_eq!((Some(pe), Some(color)), (route.pe, route.color));
+            }
+            Err(other) => panic!("expected RouteMismatch, got {other:?}"),
+            Ok(_) => panic!("expected RouteMismatch, got Ok"),
         }
     }
 }
