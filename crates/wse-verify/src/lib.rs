@@ -17,8 +17,10 @@
 //! 1. **Route soundness** — every declared stream resolves on-mesh, reaches
 //!    a RAMP, and contains no ramp-less cycle (static `NoRoute` /
 //!    `RouteOffMesh` / `RouteMismatch` / `RoutingLoop`).
-//! 2. **Color discipline** — at most 24 colors live per PE; no two rules on
-//!    one PE claim the same color with conflicting directions.
+//! 2. **Color discipline** — no two rules on one PE claim the same color
+//!    with conflicting directions (the last claim is the one in effect, as on
+//!    the fabric); at most 24 colors live per PE by construction of
+//!    [`wse_sim::Color`].
 //! 3. **Channel completeness** — every statically-declared receive has a
 //!    matching upstream producer and vice versa, and the wavelet totals
 //!    balance (a shortfall is a deadlock proved before simulation).
@@ -33,6 +35,12 @@
 //! — and [`verify`] returns typed, PE/color-located [`Diagnostic`]s with fix
 //! hints. `ceresz lint` sweeps the shipped strategies across mesh shapes and
 //! fails on any error.
+//!
+//! Verification costs time linear in the declarations plus the mesh area:
+//! routes are looked up on the fabric's own slot layout (one entry per
+//! `(PE, color)`, indexed `pe.index(cols) * COLOR_SLOTS + color.index()`),
+//! and the channel, SRAM and task tables are declarations sorted by PE. The
+//! full 750×994 paper mapping verifies in about half a second.
 //!
 //! Beyond soundness, [`analysis::analyze`] runs a *static performance
 //! analysis* over the same manifest: per-link worst-case load and contention,

@@ -212,37 +212,4 @@ impl MappingManifest {
     pub fn declare_entry(&mut self, pe: PeId, task: TaskId) {
         self.entries.push(EntryDecl { pe, task });
     }
-
-    /// Total PEs that carry any declaration — a cheap size measure for
-    /// reports.
-    #[must_use]
-    pub fn populated_pes(&self) -> usize {
-        let mut pes: Vec<PeId> = self
-            .routes
-            .iter()
-            .map(|r| r.pe)
-            .chain(self.sends.iter().map(|s| s.pe))
-            .chain(self.recvs.iter().map(|r| r.pe))
-            .chain(self.buffers.iter().map(|b| b.pe))
-            .chain(self.tasks.iter().map(|t| t.pe))
-            .collect();
-        pes.sort_unstable_by_key(|p| (p.row, p.col));
-        pes.dedup();
-        pes.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn populated_pes_deduplicates() {
-        let mut m = MappingManifest::new("t", 1, 2);
-        let pe = PeId::new(0, 0);
-        m.declare_task(pe, TaskId(0));
-        m.declare_buffer(pe, 16, "ws");
-        m.declare_recv(PeId::new(0, 1), Color::new(0), 4, 1, TaskId(0));
-        assert_eq!(m.populated_pes(), 2);
-    }
 }
