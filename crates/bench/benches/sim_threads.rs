@@ -185,9 +185,10 @@ fn main() {
 
     println!("sim_threads: {kind:?}, {n_blocks} blocks, host parallelism {host_parallelism}");
 
-    // Flight sampling stays on: the timing table then also certifies that
-    // observability does not perturb scaling, and the serial run's recording
-    // feeds the deterministic block below.
+    // The flight recorder stays on: the timing table then also certifies
+    // that observation (series, stage attribution, timeline) does not
+    // perturb scaling, and the serial run's recording feeds the
+    // deterministic block below.
     let options_for = |threads: usize| {
         SimOptions::default()
             .with_threads(threads)

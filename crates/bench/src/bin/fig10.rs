@@ -7,7 +7,7 @@
 use ceresz_bench::{Table, SEED};
 use ceresz_core::plan::PipelineModel;
 use ceresz_core::{CereszConfig, ErrorBound};
-use ceresz_wse::{build_report, execute, SimOptions, StrategyKind};
+use ceresz_wse::{execute, profile_compression, SimOptions, StrategyKind};
 use datasets::{generate_field, DatasetId};
 
 fn main() {
@@ -112,9 +112,8 @@ fn main() {
         pipeline_length: 1,
         pipelines_per_row: p,
     };
-    let run = execute(strategy, &round, &cfg, &SimOptions::profiled()).expect("simulation runs");
-    let profile = build_report(strategy, cfg.block_size, &run.report, run.plan.as_ref());
-    std::fs::write("fig10.profile.json", profile.to_json().to_pretty())
+    let profile = profile_compression(&round, &cfg, strategy).expect("simulation runs");
+    std::fs::write("fig10.profile.json", profile.report.to_json().to_pretty())
         .expect("write fig10.profile.json");
     println!("\nper-stage attribution of the {p}-pipeline run written to fig10.profile.json");
 }

@@ -411,14 +411,20 @@ pub(crate) fn map_compression(
 
 #[cfg(test)]
 mod tests {
+    use super::{run_group, PipelineSpec};
     use crate::engine::SimOptions;
     use crate::error::WseError;
+    use crate::harness::raw_block_wavelets;
+    use crate::kernels::{BlockMemo, ChargeCall, HostCharger, RecordingCharger};
     use crate::mapping::MappedMesh;
     use crate::strategy::{
         execute, execute_strategy, MapOutcome, Strategy, StrategyKind, StrategyRun,
     };
+    use ceresz_core::block::BlockCodec;
+    use ceresz_core::plan::{CompressionPlan, StageCostModel};
     use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism};
-    use wse_sim::{Direction, SimError};
+    use std::sync::Arc;
+    use wse_sim::{CostModel, Direction, SimError};
 
     fn wavy(n: usize) -> Vec<f32> {
         (0..n)
@@ -474,6 +480,55 @@ mod tests {
             .decompress(&run(row_par(4), &data, &cfg).compressed.data)
             .unwrap();
         assert_eq!(restored.len(), data.len());
+    }
+
+    #[test]
+    fn memo_replay_reproduces_a_fresh_run_of_every_group() {
+        // The memo has no off switch, so replaying must be exact: for every
+        // stage group of a 7-PE and a 1-PE plan, along both the zero-block
+        // chain (the map-time seed) and a dense block (a stored entry), a
+        // replay charges the same log — stage markers included — for the
+        // same time, and returns the same words as a fresh `run_group`.
+        let data = wavy(32 * 16);
+        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
+        let eps = cfg.resolve_eps(&data).unwrap();
+        let codec = BlockCodec::new(cfg.block_size, cfg.header);
+        let model = StageCostModel::calibrated();
+        let mut markers = 0;
+        for len in [7, 1] {
+            let plan = CompressionPlan::from_sampled(&data, cfg.bound, cfg.block_size, len, &model);
+            let spec = PipelineSpec::new(&plan, codec, eps, 1);
+            for block in [vec![0.0; cfg.block_size], data[..cfg.block_size].to_vec()] {
+                let mut input = raw_block_wavelets(&block);
+                for (g, stages) in spec.groups.iter().enumerate() {
+                    let (head, last) = (g == 0, g + 1 == len);
+                    let mut fresh = HostCharger::new(CostModel::calibrated());
+                    let mut rec = RecordingCharger::new(&mut fresh);
+                    let output = run_group(stages, &input, head, last, &codec, eps, &mut rec);
+                    let log = rec.into_log();
+                    let output = output.unwrap();
+
+                    let mut memo = BlockMemo::seeded(Arc::clone(&spec.zero_seeds[g]));
+                    let mut host = HostCharger::new(CostModel::calibrated());
+                    let mut rec = RecordingCharger::new(&mut host);
+                    let stored = run_group(stages, &input, head, last, &codec, eps, &mut rec);
+                    memo.store(input.clone(), rec, stored.unwrap());
+                    let mut replayed = HostCharger::new(CostModel::calibrated());
+                    let mut rec = RecordingCharger::new(&mut replayed);
+                    let words = memo.replay(&input, &mut rec).expect("memoized input");
+                    let what = format!("len {len}, group {g}, zero {}", block[0] == 0.0);
+                    assert_eq!(rec.into_log(), log, "{what}: charge log");
+                    assert_eq!(replayed.time, fresh.time, "{what}: charged time");
+                    assert_eq!(words, output, "{what}: output words");
+                    markers += log
+                        .iter()
+                        .filter(|c| matches!(c, ChargeCall::Stage(_)))
+                        .count();
+                    input = output;
+                }
+            }
+        }
+        assert!(markers > 0, "no stage markers were compared");
     }
 
     #[test]

@@ -7,27 +7,21 @@
 use ceresz_core::compressor::CereszConfig;
 
 use crate::error::WseError;
-use telemetry::Recorder;
 use wse_sim::{EngineMode, FlightConfig, MeshConfig, Time};
 
 use crate::strategy::{Strategy, StrategyKind};
 
 /// Observability, verification, and execution options for a simulated run,
-/// shared by all mapping strategies. The default (`trace` off, disabled
-/// [`Recorder`], static verification **on**, one thread) costs nothing at
-/// runtime: the simulator skips timeline recording and the kernels skip
-/// per-stage attribution entirely, while the verifier runs once over the
-/// static manifest before the first cycle.
+/// shared by all mapping strategies. The default (flight recorder off,
+/// static verification **on**, one thread) costs nothing at runtime: the
+/// simulator records nothing and the kernels skip per-stage attribution
+/// entirely, while the verifier runs once over the static manifest before
+/// the first cycle.
 ///
 /// All `with_*` builder methods are commutative — each sets exactly one
 /// field, so any application order produces the same options.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Record the per-PE task timeline ([`MeshConfig::with_trace`]).
-    pub trace: bool,
-    /// Telemetry sink; per-stage cycle attribution is collected iff the
-    /// recorder is enabled ([`MeshConfig::with_recorder`]).
-    pub recorder: Recorder,
     /// Run the static mapping verifier over the constructed mapping before
     /// simulating (on by default); a rejected mapping returns
     /// [`WseError::MappingRejected`] instead of failing mid-run.
@@ -45,19 +39,18 @@ pub struct SimOptions {
     /// ([`MeshConfig::with_engine`]): event-driven by default; the
     /// cycle-stepped reference exists for equivalence checks and benches.
     pub engine: EngineMode,
-    /// Flight-recorder sampling ([`MeshConfig::with_flight`]): off by
-    /// default; when set, the run's report carries a
-    /// [`wse_sim::FlightRecording`] with per-PE/per-link time-series and
-    /// stall attribution. Purely observational — the functional report is
-    /// bit-identical with sampling on or off.
+    /// The flight recorder ([`MeshConfig::with_flight`]), the one
+    /// observation switch: off by default; when set, the run's report
+    /// carries a [`wse_sim::FlightRecording`] with per-PE/per-link
+    /// time-series, stall and per-stage attribution, and the task timeline.
+    /// Purely observational — the report is bit-identical with the recorder
+    /// on or off.
     pub flight: Option<FlightConfig>,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         Self {
-            trace: false,
-            recorder: Recorder::default(),
             verify: true,
             threads: 1,
             threads_exact: false,
@@ -68,22 +61,6 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Options for a full profiling run: timeline tracing plus an enabled
-    /// recorder (per-stage attribution, counters, histograms).
-    #[must_use]
-    pub fn profiled() -> Self {
-        Self::default()
-            .with_trace(true)
-            .with_recorder(Recorder::enabled())
-    }
-
-    /// Set timeline tracing.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
     /// Set static mapping verification (on by default).
     #[must_use]
     pub fn with_verify(mut self, verify: bool) -> Self {
@@ -116,21 +93,14 @@ impl SimOptions {
         self
     }
 
-    /// Set the telemetry sink.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Enable flight-recorder sampling with the given config.
+    /// Enable the flight recorder with the given config.
     #[must_use]
     pub fn with_flight(mut self, flight: FlightConfig) -> Self {
         self.flight = Some(flight);
         self
     }
 
-    /// Enable flight-recorder sampling with a `window`-cycle window.
+    /// Enable the flight recorder with a `window`-cycle sampling window.
     ///
     /// # Panics
     /// If `window` is zero.
@@ -149,12 +119,16 @@ impl SimOptions {
         self.mesh_config(1, 1).effective_threads()
     }
 
+    /// These options with the flight recorder on: the chosen window, or
+    /// the default one. What profiling and observation runs use.
+    pub(crate) fn recorded(&self) -> Self {
+        let flight = self.flight.unwrap_or_default();
+        self.clone().with_flight(flight)
+    }
+
     /// Build a mesh configuration carrying these options.
     pub(crate) fn mesh_config(&self, rows: usize, cols: usize) -> MeshConfig {
-        let mut config = MeshConfig::new(rows, cols)
-            .with_trace(self.trace)
-            .with_recorder(self.recorder.clone())
-            .with_engine(self.engine);
+        let mut config = MeshConfig::new(rows, cols).with_engine(self.engine);
         config = if self.threads_exact {
             config.with_threads_exact(self.threads)
         } else {
@@ -385,28 +359,27 @@ mod tests {
 
     #[test]
     fn sim_options_builders_commute() {
-        // Opting out of verification and profiling compose in either
-        // order: `profiled()` must not reset `verify`. Every with_* pair
-        // must commute.
-        let a = SimOptions::profiled().with_verify(false);
+        // Opting out of verification and recording compose in either
+        // order. Every with_* pair must commute.
+        let a = SimOptions::default()
+            .with_flight_window(64)
+            .with_verify(false);
         let b = SimOptions::default()
             .with_verify(false)
-            .with_trace(true)
-            .with_recorder(Recorder::enabled());
+            .with_flight_window(64);
         assert!(!a.verify && !b.verify);
-        assert!(a.trace && b.trace);
-        assert!(a.recorder.is_enabled() && b.recorder.is_enabled());
+        assert_eq!(a.flight, b.flight);
 
-        let c = SimOptions::default().with_threads(8).with_trace(true);
-        let d = SimOptions::default().with_trace(true).with_threads(8);
+        let c = SimOptions::default()
+            .with_threads(8)
+            .with_engine(EngineMode::CycleStepped);
+        let d = SimOptions::default()
+            .with_engine(EngineMode::CycleStepped)
+            .with_threads(8);
         assert_eq!(c.threads, d.threads);
-        assert_eq!(c.trace, d.trace);
+        assert_eq!(c.engine, d.engine);
         assert!(c.verify && d.verify, "unrelated fields keep their defaults");
-
-        // profiled() sets tracing and the recorder and nothing else.
-        let p = SimOptions::profiled();
-        assert!(p.trace && p.recorder.is_enabled() && p.verify);
-        assert_eq!(p.threads, 1);
+        assert!(c.flight.is_none() && d.flight.is_none());
 
         // with_flight composes with the rest in any order.
         let g = SimOptions::default()

@@ -50,7 +50,8 @@ impl Charger for TaskCtx<'_> {
 
     fn begin_stage(&mut self, stage: SubStageKind) {
         // Guard before building the name: `SubStageKind::name` allocates,
-        // and runs without telemetry must stay on the zero-overhead path.
+        // and runs without the flight recorder must stay on the
+        // zero-overhead path.
         if self.attribution_enabled() {
             TaskCtx::begin_stage(self, &stage.name());
         }
@@ -100,8 +101,8 @@ impl Charger for NullCharger {
 }
 
 /// One recorded item of a kernel's charge stream (see [`BlockMemo`]).
-#[derive(Debug, Clone, Copy)]
-enum ChargeCall {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ChargeCall {
     /// A `begin_stage` marker.
     Stage(SubStageKind),
     /// A `charge_op` call.
@@ -125,7 +126,7 @@ impl<'a, C: Charger> RecordingCharger<'a, C> {
     }
 
     /// Release the inner borrow and hand back the recorded call log.
-    fn into_log(self) -> Vec<ChargeCall> {
+    pub(crate) fn into_log(self) -> Vec<ChargeCall> {
         self.log
     }
 }

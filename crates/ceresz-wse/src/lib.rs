@@ -62,9 +62,7 @@ pub use engine::{mapping_manifest, SimOptions};
 pub use error::WseError;
 pub use mapping::MappedMesh;
 pub use observe::{observe, ObserveReport};
-pub use profile::{
-    build_report, profile_compression, profile_compression_with, CompressionProfile,
-};
+pub use profile::{profile_compression, profile_compression_with, CompressionProfile};
 pub use strategy::{execute, execute_strategy, MapOutcome, Strategy, StrategyKind, StrategyRun};
 pub use throughput::{ThroughputReport, WaferConfig};
 pub use wse_sim::{EngineMode, Time};

@@ -5,7 +5,7 @@
 
 use ceresz_core::compressor::CereszConfig;
 use telemetry::json::JsonValue;
-use wse_sim::{FlightConfig, FlightRecording, Metric, PeId, SimStats, StallCause, Time};
+use wse_sim::{FlightRecording, Metric, PeId, SimStats, StallCause, Time};
 
 use crate::engine::SimOptions;
 use crate::error::WseError;
@@ -28,7 +28,7 @@ pub struct ObserveReport {
 
 /// Execute `strategy` on `data` with flight-recorder sampling enabled and
 /// return the observation report. `options.flight` is forced on (that is
-/// what an observation *is*, mirroring how profiling forces tracing); pass
+/// what an observation *is*, as it is for a profile); pass
 /// a config through `options` to choose the window, otherwise the default
 /// window applies. The compressed output is identical to an unobserved run
 /// and is discarded here — callers wanting both use [`crate::execute`] with
@@ -39,11 +39,7 @@ pub fn observe(
     cfg: &CereszConfig,
     options: &SimOptions,
 ) -> Result<ObserveReport, WseError> {
-    let options = match options.flight {
-        Some(_) => options.clone(),
-        None => options.clone().with_flight(FlightConfig::default()),
-    };
-    let (_, _, mut report) = execute_strategy(strategy, data, cfg, &options)?;
+    let (_, _, mut report) = execute_strategy(strategy, data, cfg, &options.recorded())?;
     let flight = report
         .take_flight()
         .expect("sampling was enabled for the observed run");

@@ -1,21 +1,25 @@
-//! Run-level profiling: execute a strategy with full observability and
+//! Run-level profiling: execute a strategy with the flight recorder on and
 //! shape the result into the paper's reporting artifacts.
 //!
-//! [`profile_compression`] runs [`crate::execute`] under an
-//! enabled [`telemetry::Recorder`] plus timeline tracing, then assembles:
+//! [`profile_compression`] runs [`crate::execute`] with the flight recorder
+//! on, then assembles:
 //!
 //! * a [`telemetry::profile::ProfileReport`] — per-stage busy ticks
 //!   (summing exactly to `total_busy_ticks`), the Tables 1–3 stage groups,
 //!   and the analytic Eq. 2/Eq. 3 cost terms when the strategy has a
 //!   pipeline plan;
 //! * a Chrome/Perfetto trace document (one track per PE, one slice per
-//!   task, named by the task's dominant kernel stage);
-//! * the raw [`telemetry::TelemetrySnapshot`] of counters and histograms.
+//!   task, named by the task's dominant kernel stage, plus the recording's
+//!   stall counter tracks);
+//! * a [`telemetry::TelemetrySnapshot`] of the run's `sim.*` counters and
+//!   histograms, fed from the report after the run, and the wall span of
+//!   the run itself.
 
 use ceresz_core::compressor::CereszConfig;
 use ceresz_core::plan::{CompressionPlan, PipelineModel};
 use telemetry::profile::{ProfileReport, StageCycles};
 use telemetry::{Recorder, TelemetrySnapshot};
+use wse_sim::{FlightRecording, PeId, RunReport, SimStats};
 
 use crate::engine::SimOptions;
 use crate::error::WseError;
@@ -24,13 +28,13 @@ use crate::strategy::{execute, StrategyKind, StrategyRun};
 /// Everything a profiled run produces.
 pub struct CompressionProfile {
     /// The executed run: compressed output, headline statistics, and the
-    /// full simulator report.
+    /// full simulator report with its flight recording.
     pub run: StrategyRun,
     /// Per-stage cycle attribution and model terms (`profile.json`).
     pub report: ProfileReport,
-    /// Chrome-trace document of the task timeline (Perfetto-loadable).
+    /// Chrome-trace document of the recording (Perfetto-loadable).
     pub trace: telemetry::chrome::ChromeTrace,
-    /// Raw recorder contents (counters, histograms, spans).
+    /// Recorder contents (`sim.*` counters and histograms, wall span).
     pub snapshot: TelemetrySnapshot,
 }
 
@@ -44,10 +48,11 @@ pub fn profile_compression(
     profile_compression_with(data, cfg, strategy, &SimOptions::default())
 }
 
-/// [`profile_compression`] with explicit [`SimOptions`]. Tracing and the
-/// telemetry recorder are forced on (they are what a profile *is*); the
-/// caller's `threads` and `verify` settings are honored, so a sharded
-/// profiled run is `SimOptions::default().with_threads(n)`.
+/// [`profile_compression`] with explicit [`SimOptions`]. The flight
+/// recorder is forced on (it is what a profile *is*) with the default
+/// window unless `options` chose one; the caller's `threads` and `verify`
+/// settings are honored, so a sharded profiled run is
+/// `SimOptions::default().with_threads(n)`.
 pub fn profile_compression_with(
     data: &[f32],
     cfg: &CereszConfig,
@@ -55,26 +60,23 @@ pub fn profile_compression_with(
     options: &SimOptions,
 ) -> Result<CompressionProfile, WseError> {
     let recorder = Recorder::enabled();
-    let options = options
-        .clone()
-        .with_trace(true)
-        .with_recorder(recorder.clone());
     let run = {
         let _span = recorder.wall_span("execute_strategy");
-        execute(strategy, data, cfg, &options)?
+        execute(strategy, data, cfg, &options.recorded())?
     };
-
-    let report = build_report(strategy, cfg.block_size, &run.report, run.plan.as_ref());
-    let mut trace = run
+    record_sim_metrics(&recorder, &run.report, strategy.mesh_shape());
+    let flight = run
         .report
-        .chrome_trace(&format!("ceresz {}", strategy.name()));
-    if let Some(flight) = run.report.flight() {
-        // Flight-recorder tracks ride along in the same document: mesh-wide
-        // compute/stall cycles per window as Perfetto counter series under
-        // the run's process (pid 1, matching Trace::chrome_trace).
-        flight.add_counter_tracks(&mut trace, 1);
-    }
-
+        .flight()
+        .expect("profiled runs are flight-recorded");
+    let report = build_report(
+        strategy,
+        cfg.block_size,
+        run.report.stats(),
+        flight,
+        run.plan.as_ref(),
+    );
+    let trace = flight.chrome_trace(&format!("ceresz {}", strategy.name()));
     Ok(CompressionProfile {
         run,
         report,
@@ -83,21 +85,37 @@ pub fn profile_compression_with(
     })
 }
 
-/// Shape a simulator [`wse_sim::RunReport`] into a [`ProfileReport`]:
+/// Feed the run's `sim.*` counters, and histograms over the active PEs in
+/// row-major order, into `recorder`.
+fn record_sim_metrics(recorder: &Recorder, report: &RunReport, (rows, cols): (usize, usize)) {
+    let stats = report.stats();
+    recorder.count("sim.tasks", stats.total_tasks);
+    recorder.count("sim.wavelets_sent", stats.total_wavelets);
+    recorder.count("sim.active_pes", stats.active_pes as u64);
+    recorder.observe("sim.finish_cycle", stats.finish_cycle.cycles_f64());
+    for pe in (0..rows).flat_map(|r| (0..cols).map(move |c| PeId::new(r, c))) {
+        let pe = report.pe_stats(pe);
+        if pe.tasks_run > 0 {
+            recorder.observe("sim.pe_busy_cycles", pe.busy_cycles.cycles_f64());
+            recorder.observe("sim.pe_mem_peak_bytes", pe.mem_peak_bytes as f64);
+        }
+    }
+}
+
+/// Shape a run's statistics and flight recording into a [`ProfileReport`]:
 /// stage rows sorted largest-first (so the table reads like the paper's
 /// tables), plus the analytic Eq. 2/Eq. 3 cost terms when a pipeline plan
-/// is available. Also used by the bench binaries to emit `profile.json`.
-#[must_use]
-pub fn build_report(
+/// is available.
+fn build_report(
     strategy: StrategyKind,
     block_size: usize,
-    sim_report: &wse_sim::RunReport,
+    stats: &SimStats,
+    flight: &FlightRecording,
     plan: Option<&CompressionPlan>,
 ) -> ProfileReport {
-    let stats = sim_report.stats();
     let (mesh_rows, mesh_cols) = strategy.mesh_shape();
 
-    let mut stages: Vec<StageCycles> = sim_report
+    let mut stages: Vec<StageCycles> = flight
         .stage_totals()
         .into_iter()
         .map(|(name, time)| StageCycles {
@@ -274,6 +292,8 @@ mod tests {
 
     #[test]
     fn flight_sampling_adds_counter_tracks_to_the_trace() {
+        // A profile is flight-recorded, so its trace always carries the
+        // counter tracks; an explicit window is honored.
         let data = wavy(32 * 8);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-2));
         let strategy = StrategyKind::Pipeline {
@@ -292,8 +312,16 @@ mod tests {
                     .as_str()
                     .is_some_and(|n| n.starts_with("flight:"))
         }));
-        // Without sampling there are no counter tracks.
+        assert_eq!(
+            profile.run.report.flight().unwrap().window(),
+            wse_sim::Time::from_cycles(64)
+        );
+        // Without an explicit window the default one applies.
         let plain = profile_compression(&data, &cfg, strategy).unwrap();
-        assert_eq!(plain.trace.counter_count(), 0);
+        assert!(plain.trace.counter_count() > 0);
+        assert_eq!(
+            plain.run.report.flight().unwrap().window(),
+            wse_sim::FlightConfig::DEFAULT_WINDOW
+        );
     }
 }

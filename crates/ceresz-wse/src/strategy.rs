@@ -303,8 +303,9 @@ pub struct StrategyRun {
     pub kind: StrategyKind,
     /// The stage plan the run executed (pipeline strategies only).
     pub plan: Option<CompressionPlan>,
-    /// The complete simulator report (timeline when tracing was on,
-    /// per-stage cycle attribution when the recorder was enabled).
+    /// The complete simulator report (with its flight recording — stall
+    /// series, per-stage attribution, task timeline — when the recorder
+    /// was on).
     pub report: RunReport,
 }
 
@@ -322,9 +323,9 @@ impl StrategyRun {
 ///
 /// The run is deterministic at any thread count: with
 /// [`SimOptions::with_threads`] the simulator partitions the mesh into row
-/// shards stepped in parallel, and the resulting report — outputs,
-/// statistics, stage attribution, trace — is bit-identical to the serial
-/// run.
+/// shards stepped in parallel, and the resulting report — outputs and
+/// statistics, plus the flight recording when one was asked for — is
+/// bit-identical to the serial run.
 ///
 /// ```
 /// use ceresz_core::{CereszConfig, Codec, ErrorBound};

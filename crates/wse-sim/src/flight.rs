@@ -1,12 +1,20 @@
-//! The fabric flight recorder: per-PE and per-link time-series sampling
-//! with a stall-cause taxonomy.
+//! The fabric flight recorder: the simulator's one observation stream.
 //!
 //! Whole-run counters ([`crate::SimStats`]) say *that* a mapping is slow;
 //! the flight recorder says *where* and *why*: which rows sit idle waiting
 //! for wavelets, which links serialize streams, which relay PEs spend their
-//! cycles backpressured. Sampling is windowed — every busy or stalled span
-//! is distributed over fixed-size time buckets — so the recording is a
+//! cycles backpressured, which kernel stage each PE's busy time went to,
+//! and when every task ran. Sampling is windowed — every busy or stalled
+//! span is distributed over fixed-size time buckets — so the recording is a
 //! time-series per PE and per link, not just a total.
+//!
+//! Each shard owns one accumulator and hands it one typed record at each
+//! of the four attribution points of the engine: a task span with its stage
+//! segments, a ramp retry, a receive wait (with the inbox depth taken at
+//! delivery), and a link wait. The accumulator folds each record as it
+//! arrives into the per-PE series, the link table, the per-PE stage totals
+//! and the task timeline (the [`Trace`], each task labelled by its dominant
+//! stage); nothing is stored raw and folded later.
 //!
 //! All sampled quantities are exact integer [`Time`] ticks: bucketing is
 //! pure integer arithmetic (no float rounding at bucket boundaries) and
@@ -31,22 +39,24 @@
 //!
 //! ## Determinism
 //!
-//! Samples are accumulated per shard by the thread that owns the shard and
+//! Records are folded per shard by the thread that owns the shard and
 //! merged row-major after the join. With integer ticks the merge is exact
 //! by construction — no addition-order concerns — so a [`FlightRecording`]
 //! is bit-identical whether the run was serial or sharded. Recording never
-//! changes event timing, so the functional parts of a [`crate::RunReport`]
-//! are bit-identical with sampling on or off (pinned by
-//! `tests/determinism.rs`).
+//! changes event timing, so a [`crate::RunReport`] is bit-identical with
+//! the recorder on or off (pinned by `tests/determinism.rs`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use telemetry::chrome::ChromeTrace;
 use telemetry::json::JsonValue;
 
 use crate::fabric::LINK_SLOTS;
 use crate::geom::{Direction, PeId};
+use crate::program::TaskId;
 use crate::time::{Time, TICKS_PER_CYCLE};
+use crate::trace::{Trace, TraceEvent};
 
 /// A tick count as an exact JSON integer (tick totals stay far below 2^53).
 fn jticks(t: Time) -> JsonValue {
@@ -212,6 +222,11 @@ pub struct PeFlight {
     /// High-watermark of wavelets buffered in this PE's inbox on any single
     /// color (channel queue occupancy).
     pub inbox_high_watermark: u64,
+    /// Busy time by kernel stage, sorted by name. Stage names follow
+    /// [`crate::TaskCtx::begin_stage`], plus the pseudo-stages `"dispatch"`
+    /// (task overhead) and `"unattributed"` (time charged outside any
+    /// labelled stage), so the values sum to the `busy` total exactly.
+    pub stages: Vec<(Arc<str>, Time)>,
 }
 
 impl PeFlight {
@@ -222,14 +237,6 @@ impl PeFlight {
             StallCause::SendBackpressure => &self.send_backpressure,
             StallCause::RecvWaiting => &self.recv_waiting,
             StallCause::RampBlocked => &self.ramp_blocked,
-        }
-    }
-
-    fn stall_mut(&mut self, cause: StallCause) -> &mut Series {
-        match cause {
-            StallCause::SendBackpressure => &mut self.send_backpressure,
-            StallCause::RecvWaiting => &mut self.recv_waiting,
-            StallCause::RampBlocked => &mut self.ramp_blocked,
         }
     }
 
@@ -266,84 +273,209 @@ struct LinkSlot {
     flight: LinkFlight,
 }
 
-/// Per-shard sample accumulator: owned and written by exactly one worker
+/// One observation, handed to the shard's accumulator at one of the
+/// engine's four attribution points.
+#[derive(Debug)]
+pub(crate) enum Record {
+    /// `task` ran on `pe` over `[start, end)`: `dispatch` of fixed
+    /// activation cost, then the stage segments it logged through
+    /// [`crate::TaskCtx::begin_stage`] into the shard's [`StageLog`].
+    Task {
+        pe: PeId,
+        task: TaskId,
+        start: Time,
+        end: Time,
+        dispatch: Time,
+    },
+    /// An activation on column `col` found the processor busy at `at` and
+    /// retries at `until`.
+    RampRetry { col: usize, at: Time, until: Time },
+    /// A delivery at `at` left `depth` wavelets queued on one color of
+    /// column `col`; `posted` is when the receive it completed was posted.
+    RecvWait {
+        col: usize,
+        depth: usize,
+        posted: Option<Time>,
+        at: Time,
+    },
+    /// A stream of `n` wavelets whose head reached `from → to` at `head`
+    /// reserved the link from `start` (the gap is backpressure).
+    LinkWait {
+        from: PeId,
+        to: PeId,
+        head: Time,
+        start: Time,
+        n: u64,
+    },
+}
+
+/// The stage segments of the running task. Names are interned per shard,
+/// so a segment costs a pointer, not a string.
+#[derive(Debug, Default)]
+pub(crate) struct StageLog {
+    names: BTreeSet<Arc<str>>,
+    open: Option<Arc<str>>,
+    /// Charged time when the open segment began.
+    base: Time,
+    /// Closed `(stage, time)` segments of the running task.
+    segments: Vec<(Arc<str>, Time)>,
+}
+
+impl StageLog {
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        let interned = self.names.get(name).cloned().unwrap_or_else(|| name.into());
+        self.names.insert(Arc::clone(&interned));
+        interned
+    }
+
+    /// Close the open segment at `charged` and open one named `name`.
+    pub(crate) fn begin(&mut self, name: &str, charged: Time) {
+        self.close(charged);
+        self.open = Some(self.intern(name));
+    }
+
+    /// Close the open segment at `charged`, attributing the time charged
+    /// since it began (to `"unattributed"` when no stage was named).
+    fn close(&mut self, charged: Time) {
+        let delta = charged - self.base;
+        self.base = charged;
+        let stage = self.open.take();
+        if !delta.is_zero() {
+            let stage = stage.unwrap_or_else(|| self.intern("unattributed"));
+            self.segments.push((stage, delta));
+        }
+    }
+}
+
+/// Per-shard record accumulator: owned and written by exactly one worker
 /// thread during the run, merged row-major afterwards.
 #[derive(Debug)]
 pub(crate) struct FlightShard {
     window: Time,
     /// Per-column PE samples of this shard's row.
-    pub(crate) pes: Vec<PeFlight>,
+    pes: Vec<PeFlight>,
     /// Links *leaving* this shard's PEs (the links the shard owns), indexed
     /// `[from.col * LINK_SLOTS + dir.index()]` like the engine's own link
     /// clocks; converted to a sorted map at merge time.
     links: Vec<Option<Box<LinkSlot>>>,
+    /// This shard's tasks in execution order (so ascending start time).
+    timeline: Vec<TraceEvent>,
+    /// Stage log of the running task, borrowed by its `TaskCtx`.
+    pub(crate) stages: StageLog,
+    /// The interned `"dispatch"` pseudo-stage.
+    dispatch: Arc<str>,
 }
 
 impl FlightShard {
     pub(crate) fn new(window: Time, cols: usize) -> Self {
+        let mut stages = StageLog::default();
+        let dispatch = stages.intern("dispatch");
         Self {
             window,
             pes: vec![PeFlight::default(); cols],
             links: std::iter::repeat_with(|| None)
                 .take(cols * LINK_SLOTS)
                 .collect(),
+            timeline: Vec::new(),
+            stages,
+            dispatch,
         }
     }
 
-    /// Decompose into the merge inputs: the per-column PE samples and the
-    /// occupied links as a `(from, to)`-sorted map — the exact shape (and
-    /// therefore bit pattern) the row-major recording merge consumes.
-    pub(crate) fn into_parts(self) -> (Vec<PeFlight>, BTreeMap<(PeId, PeId), LinkFlight>) {
-        let links = self
-            .links
-            .into_iter()
-            .flatten()
-            .map(|slot| ((slot.from, slot.to), slot.flight))
-            .collect();
-        (self.pes, links)
-    }
-
-    /// Record a task execution span on column `col`.
-    pub(crate) fn on_busy(&mut self, col: usize, start: Time, end: Time) {
-        self.pes[col].busy.add_span(self.window, start, end);
-    }
-
-    /// Record a stall span of `cause` on column `col`.
-    pub(crate) fn on_stall(&mut self, col: usize, cause: StallCause, start: Time, end: Time) {
-        self.pes[col]
-            .stall_mut(cause)
-            .add_span(self.window, start, end);
-    }
-
-    /// Record a stream reserving `(from, to)` for `n` wavelet-cycles from
-    /// `start` after waiting `delay` for the link.
-    pub(crate) fn on_link(&mut self, from: PeId, to: PeId, start: Time, n: u64, delay: Time) {
-        let dir = Direction::between(from, to).expect("link between non-adjacent PEs");
-        let slot = self.links[from.col * LINK_SLOTS + dir.index()].get_or_insert_with(|| {
-            Box::new(LinkSlot {
+    /// Fold one record into the series, the link table, the stage totals
+    /// and the timeline.
+    pub(crate) fn record(&mut self, record: Record) {
+        let window = self.window;
+        match record {
+            Record::Task {
+                pe,
+                task,
+                start,
+                end,
+                dispatch,
+            } => {
+                let log = &mut self.stages;
+                log.close(end - start - dispatch);
+                let p = &mut self.pes[pe.col];
+                p.busy.add_span(window, start, end);
+                // Every busy tick lands in exactly one stage: the labelled
+                // segments, plus the fixed activation cost under "dispatch".
+                add_stage(&mut p.stages, &self.dispatch, dispatch);
+                for (stage, time) in &log.segments {
+                    add_stage(&mut p.stages, stage, *time);
+                }
+                // The slice label is the task's dominant stage, when known.
+                let label = log.segments.iter().max_by(|a, b| a.1.cmp(&b.1));
+                self.timeline.push(TraceEvent {
+                    pe,
+                    task,
+                    start,
+                    end,
+                    label: label.map(|(stage, _)| Arc::clone(stage)),
+                });
+                log.segments.clear();
+                log.base = Time::ZERO;
+            }
+            Record::RampRetry { col, at, until } => {
+                self.pes[col].ramp_blocked.add_span(window, at, until);
+            }
+            Record::RecvWait {
+                col,
+                depth,
+                posted,
+                at,
+            } => {
+                let p = &mut self.pes[col];
+                p.inbox_high_watermark = p.inbox_high_watermark.max(depth as u64);
+                if let Some(posted) = posted {
+                    p.recv_waiting.add_span(window, posted, at);
+                }
+            }
+            Record::LinkWait {
                 from,
                 to,
-                flight: LinkFlight::default(),
-            })
-        });
-        let link = &mut slot.flight;
-        link.occupancy
-            .add_span(self.window, start, start + Time::from_cycles(n));
-        link.wavelets += n;
-        link.streams += 1;
-        link.backpressure += delay;
+                head,
+                start,
+                n,
+            } => {
+                let dir = Direction::between(from, to).expect("link between non-adjacent PEs");
+                let slot =
+                    self.links[from.col * LINK_SLOTS + dir.index()].get_or_insert_with(|| {
+                        Box::new(LinkSlot {
+                            from,
+                            to,
+                            flight: LinkFlight::default(),
+                        })
+                    });
+                let link = &mut slot.flight;
+                link.occupancy
+                    .add_span(window, start, start + Time::from_cycles(n));
+                link.wavelets += n;
+                link.streams += 1;
+                link.backpressure += start - head;
+                // The wait for an occupied link is backpressure charged to
+                // the PE whose router holds the stream (the hop's source).
+                self.pes[from.col]
+                    .send_backpressure
+                    .add_span(window, head, start);
+            }
+        }
     }
+}
 
-    /// Record the inbox depth of column `col` after a delivery.
-    pub(crate) fn on_inbox_depth(&mut self, col: usize, depth: usize) {
-        let pe = &mut self.pes[col];
-        pe.inbox_high_watermark = pe.inbox_high_watermark.max(depth as u64);
+/// Add `time` to `stage`'s entry. Names are interned per shard, so
+/// identity is pointer equality.
+fn add_stage(stages: &mut Vec<(Arc<str>, Time)>, stage: &Arc<str>, time: Time) {
+    match stages.iter_mut().find(|(s, _)| Arc::ptr_eq(s, stage)) {
+        Some((_, total)) => *total += time,
+        None => stages.push((Arc::clone(stage), time)),
     }
 }
 
 /// A merged flight recording of a completed run: per-PE and per-link
-/// windowed time-series plus the derived reports (heatmaps, top-K
-/// congestion tables, stall breakdowns, export documents).
+/// windowed time-series, per-PE stage totals and the task timeline, plus
+/// the derived reports (heatmaps, top-K congestion tables, stall
+/// breakdowns, export documents).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecording {
     window: Time,
@@ -352,23 +484,44 @@ pub struct FlightRecording {
     /// Row-major per-PE samples.
     pes: Vec<PeFlight>,
     links: BTreeMap<(PeId, PeId), LinkFlight>,
+    timeline: Trace,
 }
 
 impl FlightRecording {
-    pub(crate) fn from_parts(
-        window: Time,
-        rows: usize,
-        cols: usize,
-        pes: Vec<PeFlight>,
-        links: BTreeMap<(PeId, PeId), LinkFlight>,
-    ) -> Self {
+    /// Merge the per-shard accumulators, given in row order. PE samples
+    /// concatenate in PE order, link maps union without key collisions
+    /// (every link is owned by exactly the shard of its source row), and
+    /// the per-shard timelines — each in ascending start order — are
+    /// stably sorted by start, so ties keep row order. The same fold at
+    /// any thread count gives a bit-identical recording.
+    pub(crate) fn merge(window: Time, rows: usize, cols: usize, shards: Vec<FlightShard>) -> Self {
+        let mut pes = Vec::with_capacity(rows * cols);
+        let mut links = BTreeMap::new();
+        // Exact capacity: a full-wafer timeline holds millions of tasks.
+        let mut events = Vec::with_capacity(shards.iter().map(|s| s.timeline.len()).sum());
+        for shard in shards {
+            for mut pe in shard.pes {
+                pe.stages.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                pes.push(pe);
+            }
+            links.extend(
+                shard
+                    .links
+                    .into_iter()
+                    .flatten()
+                    .map(|slot| ((slot.from, slot.to), slot.flight)),
+            );
+            events.extend(shard.timeline);
+        }
         debug_assert_eq!(pes.len(), rows * cols);
+        events.sort_by_key(|e| e.start);
         Self {
             window,
             rows,
             cols,
             pes,
             links,
+            timeline: Trace::from_events(events),
         }
     }
 
@@ -439,6 +592,25 @@ impl FlightRecording {
                 cause.name(),
                 self.pes.iter().map(|p| p.stall(cause).total()).sum(),
             );
+        }
+        totals
+    }
+
+    /// The task timeline: one event per executed task, ascending start
+    /// time, each labelled by its dominant kernel stage.
+    #[must_use]
+    pub fn timeline(&self) -> &Trace {
+        &self.timeline
+    }
+
+    /// Busy time by kernel stage summed over all PEs (see
+    /// [`PeFlight::stages`]). The values sum to the run's
+    /// `total_busy_cycles` exactly (integer ticks, not approximately).
+    #[must_use]
+    pub fn stage_totals(&self) -> BTreeMap<String, Time> {
+        let mut totals = BTreeMap::new();
+        for (stage, time) in self.pes.iter().flat_map(|p| &p.stages) {
+            *totals.entry(stage.to_string()).or_insert(Time::ZERO) += *time;
         }
         totals
     }
@@ -662,10 +834,15 @@ impl FlightRecording {
         out
     }
 
-    /// Add flight-recorder counter tracks to a Chrome/Perfetto trace
-    /// document: one counter series per taxonomy cause (plus compute),
-    /// each sample the mesh-wide cycles in that window.
-    pub fn add_counter_tracks(&self, trace: &mut ChromeTrace, pid: u64) {
+    /// Export the recording as a Chrome-trace document (loadable in
+    /// Perfetto / `chrome://tracing`): one process named `process_name`
+    /// with the task timeline (one thread track per PE, one slice per
+    /// task, see [`Trace`]) and one counter series per taxonomy cause plus
+    /// compute, each sample the mesh-wide cycles in that window.
+    #[must_use]
+    pub fn chrome_trace(&self, process_name: &str) -> ChromeTrace {
+        const PID: u64 = 1;
+        let mut trace = self.timeline.chrome_trace(PID, process_name, self.cols);
         let buckets = self.bucket_count();
         let mut emit = |name: &str, f: &dyn Fn(&PeFlight) -> &Series| {
             for i in 0..buckets {
@@ -675,7 +852,7 @@ impl FlightRecording {
                     .map(|p| f(p).buckets().get(i).copied().unwrap_or(Time::ZERO))
                     .sum();
                 trace.counter(
-                    pid,
+                    PID,
                     format!("flight: {name}"),
                     (self.window * i as u64).cycles_f64(),
                     v.cycles_f64(),
@@ -686,6 +863,7 @@ impl FlightRecording {
         emit("send-backpressure cycles/window", &|p| &p.send_backpressure);
         emit("recv-waiting cycles/window", &|p| &p.recv_waiting);
         emit("ramp-blocked cycles/window", &|p| &p.ramp_blocked);
+        trace
     }
 }
 
@@ -744,26 +922,44 @@ mod tests {
         assert_eq!(s.total(), Time::ZERO);
     }
 
+    fn task(pe: PeId, start: Time, end: Time) -> Record {
+        Record::Task {
+            pe,
+            task: TaskId(0),
+            start,
+            end,
+            dispatch: cyc(1),
+        }
+    }
+
     fn recording_2x2() -> FlightRecording {
         let mut a = FlightShard::new(cyc(10), 2);
-        a.on_busy(0, cyc(0), cyc(15));
-        a.on_stall(1, StallCause::RecvWaiting, cyc(0), cyc(5));
-        a.on_link(
-            PeId::new(0, 0),
-            PeId::new(0, 1),
-            cyc(2),
-            4,
-            Time::from_ticks(1_500),
-        );
-        a.on_inbox_depth(1, 7);
+        a.record(task(PeId::new(0, 0), cyc(0), cyc(15)));
+        a.record(Record::RecvWait {
+            col: 1,
+            depth: 7,
+            posted: Some(cyc(0)),
+            at: cyc(5),
+        });
+        // A 1.5-cycle wait for the link: backpressure on both the link and
+        // the PE holding the stream.
+        a.record(Record::LinkWait {
+            from: PeId::new(0, 0),
+            to: PeId::new(0, 1),
+            head: Time::from_ticks(500),
+            start: cyc(2),
+            n: 4,
+        });
         let mut b = FlightShard::new(cyc(10), 2);
-        b.on_busy(1, cyc(0), cyc(30));
-        b.on_stall(0, StallCause::SendBackpressure, cyc(3), cyc(9));
-        let (mut pes, mut links) = a.into_parts();
-        let (b_pes, b_links) = b.into_parts();
-        pes.extend(b_pes);
-        links.extend(b_links);
-        FlightRecording::from_parts(cyc(10), 2, 2, pes, links)
+        b.record(task(PeId::new(1, 1), cyc(0), cyc(30)));
+        b.record(Record::LinkWait {
+            from: PeId::new(1, 0),
+            to: PeId::new(1, 1),
+            head: cyc(3),
+            start: cyc(9),
+            n: 1,
+        });
+        FlightRecording::merge(cyc(10), 2, 2, vec![a, b])
     }
 
     #[test]
@@ -772,7 +968,7 @@ mod tests {
         let totals = rec.stall_totals();
         assert_eq!(totals["compute"], cyc(45));
         assert_eq!(totals["recv_waiting"], cyc(5));
-        assert_eq!(totals["send_backpressure"], cyc(6));
+        assert_eq!(totals["send_backpressure"], Time::from_ticks(7_500));
         assert_eq!(totals["ramp_blocked"], Time::ZERO);
 
         let top = rec.top_pes(Metric::Busy, 5);
@@ -781,7 +977,7 @@ mod tests {
             vec![(PeId::new(1, 1), cyc(30)), (PeId::new(0, 0), cyc(15))]
         );
         let links = rec.top_links(5);
-        assert_eq!(links.len(), 1);
+        assert_eq!(links.len(), 2);
         assert_eq!(links[0].0, (PeId::new(0, 0), PeId::new(0, 1)));
         assert_eq!(links[0].1.wavelets, 4);
         assert_eq!(links[0].1.backpressure, Time::from_ticks(1_500));
@@ -793,7 +989,10 @@ mod tests {
         let grid = rec.heatmap(Metric::TotalStall);
         assert_eq!(
             grid,
-            vec![vec![Time::ZERO, cyc(5)], vec![cyc(6), Time::ZERO]]
+            vec![
+                vec![Time::from_ticks(1_500), cyc(5)],
+                vec![cyc(6), Time::ZERO]
+            ]
         );
         let ascii = rec.ascii_heatmap(Metric::Busy, 64, 64);
         let lines: Vec<&str> = ascii.lines().collect();
@@ -805,8 +1004,8 @@ mod tests {
 
     #[test]
     fn ascii_heatmap_downsamples_wide_meshes() {
-        let pes = vec![PeFlight::default(); 4 * 100];
-        let rec = FlightRecording::from_parts(cyc(10), 4, 100, pes, BTreeMap::new());
+        let shards = (0..4).map(|_| FlightShard::new(cyc(10), 100)).collect();
+        let rec = FlightRecording::merge(cyc(10), 4, 100, shards);
         let ascii = rec.ascii_heatmap(Metric::Busy, 2, 25);
         let lines: Vec<&str> = ascii.lines().collect();
         assert_eq!(lines.len(), 3); // header + 2 downsampled rows
@@ -855,9 +1054,7 @@ mod tests {
     #[test]
     fn counter_tracks_sum_per_window() {
         let rec = recording_2x2();
-        let mut trace = ChromeTrace::new();
-        rec.add_counter_tracks(&mut trace, 1);
-        let doc = trace.to_json();
+        let doc = rec.chrome_trace("test mesh").to_json();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let counters: Vec<_> = events
             .iter()

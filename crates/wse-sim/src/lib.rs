@@ -35,6 +35,14 @@
 //! reports a [`SimError::Deadlock`] naming every blocked PE — the moral
 //! equivalent of a hung fabric on real hardware.
 //!
+//! ## Observation
+//!
+//! One switch, [`MeshConfig::with_flight`], turns on the flight recorder;
+//! the report then carries a [`FlightRecording`] ([`RunReport::flight`]):
+//! per-PE busy and stall series, per-link occupancy, per-stage cycle
+//! attribution, and the task timeline ([`Trace`]). With it off the engine
+//! records nothing, and either way the [`RunReport`] is bit-identical.
+//!
 //! ## Example: two PEs, one pipeline hop
 //!
 //! ```

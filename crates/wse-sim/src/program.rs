@@ -14,6 +14,7 @@
 use crate::cost::{CostModel, Op};
 use crate::error::SimError;
 use crate::fabric::{Color, COLOR_SLOTS};
+use crate::flight::StageLog;
 use crate::geom::PeId;
 use crate::memory::MemoryTracker;
 use crate::time::Time;
@@ -82,14 +83,8 @@ pub struct TaskCtx<'a> {
     pub(crate) completed: &'a mut [Option<Vec<u32>>; COLOR_SLOTS],
     pub(crate) charged: Time,
     pub(crate) effects: Vec<Effect>,
-    /// Whether per-stage cycle attribution is being collected this run.
-    pub(crate) attribution: bool,
-    /// Currently open stage label, if any.
-    pub(crate) stage: Option<String>,
-    /// `charged` at the time the current stage segment opened.
-    pub(crate) stage_base: Time,
-    /// Closed `(stage, time)` segments of this task.
-    pub(crate) stage_charges: Vec<(String, Time)>,
+    /// The flight recorder's stage log, when the run is flight-recorded.
+    pub(crate) stages: Option<&'a mut StageLog>,
 }
 
 impl<'a> TaskCtx<'a> {
@@ -125,31 +120,18 @@ impl<'a> TaskCtx<'a> {
     /// must build a stage name (allocate) can check this first.
     #[must_use]
     pub fn attribution_enabled(&self) -> bool {
-        self.attribution
+        self.stages.is_some()
     }
 
     /// Label all subsequent charges of this task with the kernel stage
     /// `name` (e.g. a `SubStageKind` name), for per-stage cycle attribution.
     ///
-    /// A no-op unless the run collects attribution
-    /// ([`crate::MeshConfig::with_recorder`]), so kernels can call it
-    /// unconditionally without paying for a `String` per stage.
+    /// A no-op unless the run is flight-recorded
+    /// ([`crate::MeshConfig::with_flight`]), so kernels can call it
+    /// unconditionally.
     pub fn begin_stage(&mut self, name: &str) {
-        if !self.attribution {
-            return;
-        }
-        self.close_stage_segment();
-        self.stage = Some(name.to_owned());
-    }
-
-    /// Close the open stage segment, attributing its charged time.
-    pub(crate) fn close_stage_segment(&mut self) {
-        let delta = self.charged - self.stage_base;
-        self.stage_base = self.charged;
-        let stage = self.stage.take();
-        if !delta.is_zero() {
-            let label = stage.unwrap_or_else(|| "unattributed".to_owned());
-            self.stage_charges.push((label, delta));
+        if let Some(stages) = &mut self.stages {
+            stages.begin(name, self.charged);
         }
     }
 

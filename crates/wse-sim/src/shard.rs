@@ -58,13 +58,12 @@ use std::sync::Arc;
 
 use crate::error::SimError;
 use crate::fabric::{Color, Fabric, Hop, COLOR_SLOTS, LINK_SLOTS};
-use crate::flight::{FlightShard, StallCause};
+use crate::flight::{FlightShard, Record};
 use crate::geom::{Direction, PeId};
 use crate::pe::{PeState, PendingRecv};
 use crate::program::{Effect, TaskCtx, TaskId};
 use crate::sim::{EngineMode, MeshConfig};
 use crate::time::Time;
-use crate::trace::{Trace, TraceEvent};
 
 /// One cycle: the event-horizon width of a coupled group. Matches the
 /// one-cycle per-hop fabric latency that bounds cross-shard lookahead.
@@ -167,7 +166,7 @@ pub(crate) struct BoundaryMsg {
 }
 
 /// Read-only engine state shared by every shard: configuration (cost model,
-/// cycle limit, recorder) and the routing tables. Both are immutable during
+/// cycle limit, engine mode) and the routing tables. Both are immutable during
 /// the run, so sharing across worker threads is free.
 pub(crate) struct EngineCtx<'a> {
     pub(crate) config: &'a MeshConfig,
@@ -200,17 +199,13 @@ pub(crate) struct Shard {
     /// Pooled effect buffer lent to each `TaskCtx`, so steady-state task
     /// execution allocates nothing per event.
     fx_buf: Vec<Effect>,
-    /// Pooled stage-attribution buffer, same lifecycle as `fx_buf`.
-    stage_buf: Vec<(String, Time)>,
     /// Events popped from this shard's heap — identical across engines and
     /// thread counts because the event stream itself is.
     pub(crate) events_processed: u64,
-    pub(crate) trace: Trace,
-    /// Flight-recorder samples (present only when sampling is enabled; the
-    /// hooks below are no-ops otherwise, keeping the hot path clean).
+    /// The flight recorder's accumulator (present only when the run is
+    /// recorded; every record site below is one branch otherwise, keeping
+    /// the hot path clean).
     pub(crate) flight: Option<FlightShard>,
-    /// Per-column stage attribution (populated only with an enabled recorder).
-    pub(crate) stage_cycles: Vec<BTreeMap<String, Time>>,
     /// Boundary messages produced this window (mailbox write side).
     outbox: Vec<BoundaryMsg>,
     pub(crate) finish: Time,
@@ -238,11 +233,8 @@ impl Shard {
             links: vec![Time::ZERO; cols * LINK_SLOTS],
             paths: vec![None; cols * COLOR_SLOTS],
             fx_buf: Vec::new(),
-            stage_buf: Vec::new(),
             events_processed: 0,
-            trace: Trace::default(),
             flight: flight_window.map(|w| FlightShard::new(w, cols)),
-            stage_cycles: vec![BTreeMap::new(); cols],
             outbox: Vec::new(),
             finish: Time::ZERO,
             error: None,
@@ -398,12 +390,14 @@ impl Shard {
                 let depth = data.len() + self.pes[idx].inbox[color.index()].len();
                 let completed = self.pes[idx].deliver(color, data);
                 if let Some(flight) = &mut self.flight {
-                    flight.on_inbox_depth(idx, depth);
+                    flight.record(Record::RecvWait {
+                        col: idx,
+                        depth,
+                        posted: completed.as_ref().map(|p| p.posted_at),
+                        at: time,
+                    });
                 }
                 if let Some(pending) = completed {
-                    if let Some(flight) = &mut self.flight {
-                        flight.on_stall(idx, StallCause::RecvWaiting, pending.posted_at, time);
-                    }
                     self.push(
                         time,
                         EventKind::Activate {
@@ -420,7 +414,11 @@ impl Shard {
                     // Processor occupied: retry when it frees up. Seq
                     // numbers keep same-time retries in FIFO order.
                     if let Some(flight) = &mut self.flight {
-                        flight.on_stall(idx, StallCause::RampBlocked, time, busy_until);
+                        flight.record(Record::RampRetry {
+                            col: idx,
+                            at: time,
+                            until: busy_until,
+                        });
                     }
                     self.push(busy_until, EventKind::Activate { pe, task });
                 } else {
@@ -481,12 +479,13 @@ impl Shard {
             let link_start = head.max(*slot);
             *slot = link_start + n_time;
             if let Some(flight) = &mut self.flight {
-                // The wait for an occupied link is backpressure charged to
-                // the PE whose router holds the stream (the hop's source).
-                flight.on_link(hop.from, hop.to, link_start, n, link_start - head);
-                if link_start > head {
-                    flight.on_stall(hop.from.col, StallCause::SendBackpressure, head, link_start);
-                }
+                flight.record(Record::LinkWait {
+                    from: hop.from,
+                    to: hop.to,
+                    head,
+                    start: link_start,
+                    n,
+                });
             }
             head = link_start + HORIZON; // per-hop latency for the head wavelet
         }
@@ -521,10 +520,10 @@ impl Shard {
             .take()
             .unwrap_or_else(|| panic!("{pe} activated task {task:?} but has no program"));
         let state = &mut self.pes[idx];
-        let attribution = ctx.config.recorder.is_enabled();
-        // Lend the shard's pooled buffers to the task context; they are
-        // reclaimed (and cleared) below, so steady-state task execution
-        // allocates nothing. An error abandons them — the run aborts anyway.
+        // Lend the shard's pooled effect buffer (and the recorder's stage
+        // log) to the task context; the buffer is reclaimed (and cleared)
+        // below, so steady-state task execution allocates nothing. An error
+        // abandons it — the run aborts anyway.
         let mut task_ctx = TaskCtx {
             pe,
             now: start,
@@ -533,16 +532,11 @@ impl Shard {
             completed: &mut state.completed,
             charged: Time::ZERO,
             effects: std::mem::take(&mut self.fx_buf),
-            attribution,
-            stage: None,
-            stage_base: Time::ZERO,
-            stage_charges: std::mem::take(&mut self.stage_buf),
+            stages: self.flight.as_mut().map(|flight| &mut flight.stages),
         };
         let result = program.on_task(&mut task_ctx, task);
-        task_ctx.close_stage_segment();
         let charged = task_ctx.charged;
         let mut effects = std::mem::take(&mut task_ctx.effects);
-        let mut stage_charges = std::mem::take(&mut task_ctx.stage_charges);
         drop(task_ctx);
         self.pes[idx].program = Some(program);
         result?;
@@ -555,31 +549,12 @@ impl Shard {
             s.last_active = end;
         }
         if let Some(flight) = &mut self.flight {
-            flight.on_busy(idx, start, end);
-        }
-        if attribution {
-            // Every busy tick lands in exactly one stage: the labelled
-            // segments, plus the fixed activation cost under "dispatch", so
-            // stage totals sum to busy time exactly.
-            let per_pe = &mut self.stage_cycles[idx];
-            *per_pe.entry("dispatch".to_owned()).or_insert(Time::ZERO) +=
-                ctx.config.cost.task_overhead;
-            for (stage, time) in &stage_charges {
-                *per_pe.entry(stage.clone()).or_insert(Time::ZERO) += *time;
-            }
-        }
-        if ctx.config.trace {
-            // Label the slice with the task's dominant stage, when known.
-            let label = stage_charges
-                .iter()
-                .max_by(|a, b| a.1.cmp(&b.1))
-                .map(|(stage, _)| stage.clone());
-            self.trace.record(TraceEvent {
+            flight.record(Record::Task {
                 pe,
                 task,
                 start,
                 end,
-                label,
+                dispatch: ctx.config.cost.task_overhead,
             });
         }
         for effect in effects.drain(..) {
@@ -658,10 +633,8 @@ impl Shard {
                 }
             }
         }
-        // Return the drained buffers to the pool for the next task.
+        // Return the drained buffer to the pool for the next task.
         self.fx_buf = effects;
-        stage_charges.clear();
-        self.stage_buf = stage_charges;
         self.pes[idx].busy_until = end;
         Ok(end)
     }

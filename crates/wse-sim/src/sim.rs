@@ -8,24 +8,19 @@
 //! for the full determinism argument) and steps independent groups on
 //! `std::thread::scope` threads. The merge below folds per-shard results
 //! back together in row order — same integer addition order, same
-//! tie-breaking — so a [`RunReport`] is bit-identical at any thread count
-//! and in either [`EngineMode`], including the trace event order.
-
-use std::collections::BTreeMap;
-
-use telemetry::Recorder;
+//! tie-breaking — so a [`RunReport`] and its [`FlightRecording`] are
+//! bit-identical at any thread count and in either [`EngineMode`].
 
 use crate::cost::CostModel;
 use crate::error::{BlockedPe, BlockedRecv, SimError};
 use crate::fabric::{Color, Fabric, RouteRule};
-use crate::flight::{FlightConfig, FlightRecording, LinkFlight, PeFlight};
+use crate::flight::{FlightConfig, FlightRecording};
 use crate::geom::{Direction, PeId};
 use crate::pe::{PeState, PendingRecv};
 use crate::program::{PeProgram, TaskId};
 use crate::shard::{partition_rows, EngineCtx, Event, EventKind, Group, Shard};
 use crate::stats::{PeStats, SimStats};
 use crate::time::Time;
-use crate::trace::{Trace, TraceEvent};
 use crate::PE_SRAM_BYTES;
 
 /// Which engine steps coupled shard groups (singleton groups always
@@ -59,14 +54,6 @@ pub struct MeshConfig {
     pub cost: CostModel,
     /// Runaway guard: abort past this instant.
     pub cycle_limit: Time,
-    /// Record a per-PE task timeline (off by default; costs memory).
-    pub trace: bool,
-    /// Telemetry sink. Disabled by default; when enabled, the run collects
-    /// per-stage cycle attribution (see [`TaskCtx::begin_stage`]) and feeds
-    /// run counters/histograms into the recorder.
-    ///
-    /// [`TaskCtx::begin_stage`]: crate::TaskCtx::begin_stage
-    pub recorder: Recorder,
     /// Worker threads for the sharded engine: `1` (the default) runs
     /// serially, `0` means one per available core, and any larger request is
     /// clamped to the host's available parallelism unless `threads_exact`
@@ -79,9 +66,13 @@ pub struct MeshConfig {
     pub threads_exact: bool,
     /// Engine stepping mode for coupled shard groups.
     pub engine: EngineMode,
-    /// Flight-recorder sampling (off by default). Sampling is purely
-    /// observational: the functional report is bit-identical with it on or
-    /// off, and the recording itself is bit-identical at any thread count.
+    /// The flight recorder (off by default), the run's one observation
+    /// switch: stall and link series, per-stage cycle attribution (see
+    /// [`TaskCtx::begin_stage`]) and the task timeline. Purely
+    /// observational: the report is bit-identical with it on or off, and
+    /// the recording itself is bit-identical at any thread count.
+    ///
+    /// [`TaskCtx::begin_stage`]: crate::TaskCtx::begin_stage
     pub flight: Option<FlightConfig>,
 }
 
@@ -96,8 +87,6 @@ impl MeshConfig {
             sram_bytes: PE_SRAM_BYTES,
             cost: CostModel::calibrated(),
             cycle_limit: Time::from_cycles(1_000_000_000_000_000),
-            trace: false,
-            recorder: Recorder::disabled(),
             threads: 1,
             threads_exact: false,
             engine: EngineMode::default(),
@@ -116,13 +105,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_cycle_limit(mut self, limit: Time) -> Self {
         self.cycle_limit = limit;
-        self
-    }
-
-    /// Enable or disable task-timeline tracing.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -151,15 +133,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Attach a telemetry recorder. An enabled recorder turns on per-stage
-    /// cycle attribution for the run; a disabled one leaves the simulator on
-    /// its zero-overhead path.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
         self
     }
 
@@ -202,26 +175,20 @@ pub struct RunReport {
     pe_stats: Vec<PeStats>,
     stats: SimStats,
     cols: usize,
-    trace: Trace,
-    /// Per-PE busy time by kernel stage; empty maps unless the run had an
-    /// enabled recorder.
-    stage_cycles: Vec<BTreeMap<String, Time>>,
-    /// Flight recording; present only when sampling was enabled.
+    /// Flight recording; present only when the recorder was on.
     flight: Option<FlightRecording>,
 }
 
-/// Equality deliberately ignores the flight recording: enabling sampling
-/// must never change what a run *computed*, and the determinism suite pins
-/// exactly that by comparing reports across sampling settings. The
-/// recording has its own `PartialEq` for recording-vs-recording checks.
+/// Equality covers what the run computed — outputs, per-PE counters and
+/// statistics — and deliberately ignores the flight recording: recording
+/// must never change a result, and the determinism suite pins exactly that
+/// by comparing reports with the recorder on and off. The recording has
+/// its own `PartialEq` for recording-vs-recording checks.
 impl PartialEq for RunReport {
     fn eq(&self, other: &Self) -> bool {
         self.outputs == other.outputs
             && self.pe_stats == other.pe_stats
             && self.stats == other.stats
-            && self.cols == other.cols
-            && self.trace == other.trace
-            && self.stage_cycles == other.stage_cycles
     }
 }
 
@@ -250,49 +217,7 @@ impl RunReport {
         &self.stats
     }
 
-    /// The recorded task timeline (empty unless tracing was enabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Busy time of `pe` by kernel stage (empty unless the run had an
-    /// enabled recorder). Stage names follow `TaskCtx::begin_stage`, plus
-    /// the pseudo-stages `"dispatch"` (task overhead) and `"unattributed"`
-    /// (time charged outside any labelled stage).
-    #[must_use]
-    pub fn stage_cycles_of(&self, pe: PeId) -> &BTreeMap<String, Time> {
-        &self.stage_cycles[pe.index(self.cols)]
-    }
-
-    /// Busy time by kernel stage summed over all PEs. When attribution was
-    /// collected, the values sum to `stats().total_busy_cycles` exactly
-    /// (integer ticks — not approximately).
-    #[must_use]
-    pub fn stage_totals(&self) -> BTreeMap<String, Time> {
-        let mut totals = BTreeMap::new();
-        for per_pe in &self.stage_cycles {
-            for (stage, time) in per_pe {
-                *totals.entry(stage.clone()).or_insert(Time::ZERO) += *time;
-            }
-        }
-        totals
-    }
-
-    /// Whether per-stage attribution was collected for this run.
-    #[must_use]
-    pub fn has_stage_attribution(&self) -> bool {
-        self.stage_cycles.iter().any(|m| !m.is_empty())
-    }
-
-    /// Export the run's timeline as a Chrome-trace document (see
-    /// [`Trace::chrome_trace`]). Empty unless tracing was enabled.
-    #[must_use]
-    pub fn chrome_trace(&self, process_name: &str) -> telemetry::chrome::ChromeTrace {
-        self.trace.chrome_trace(process_name, self.cols)
-    }
-
-    /// The flight recording, if sampling was enabled for the run.
+    /// The flight recording, if the recorder was on for the run.
     #[must_use]
     pub fn flight(&self) -> Option<&FlightRecording> {
         self.flight.as_ref()
@@ -569,7 +494,7 @@ impl Simulator {
 
         // Merge in row-major order. With integer ticks the sums are exact in
         // any order, but keeping the serial fold order also keeps every
-        // derived artifact (trace order, telemetry order) canonical.
+        // derived artifact (the recording's timeline order) canonical.
         let finish = shards.iter().fold(Time::ZERO, |acc, s| acc.max(s.finish));
         let mut stats = SimStats {
             finish_cycle: finish,
@@ -577,7 +502,6 @@ impl Simulator {
         };
         let mut outputs = Vec::with_capacity(rows * cols);
         let mut pe_stats = Vec::with_capacity(rows * cols);
-        let mut stage_cycles = Vec::with_capacity(rows * cols);
         for shard in &mut shards {
             stats.events_processed += shard.events_processed;
             for state in &mut shard.pes {
@@ -591,56 +515,19 @@ impl Simulator {
                 outputs.push(std::mem::take(&mut state.outputs));
                 pe_stats.push(state.stats);
             }
-            stage_cycles.append(&mut shard.stage_cycles);
         }
-        if self.config.recorder.is_enabled() {
-            // Telemetry is fed here, after the join, by one thread in
-            // row-major PE order — deterministic span/counter order without
-            // any cross-thread contention during the run.
-            let r = &self.config.recorder;
-            r.count("sim.tasks", stats.total_tasks);
-            r.count("sim.wavelets_sent", stats.total_wavelets);
-            r.count("sim.active_pes", stats.active_pes as u64);
-            r.observe("sim.finish_cycle", stats.finish_cycle.cycles_f64());
-            for shard in &shards {
-                for state in &shard.pes {
-                    if state.stats.tasks_run > 0 {
-                        r.observe("sim.pe_busy_cycles", state.stats.busy_cycles.cycles_f64());
-                        r.observe("sim.pe_mem_peak_bytes", state.memory.peak() as f64);
-                    }
-                }
-            }
-        }
-        // Per-shard timelines are each in execution order; a stable sort by
-        // start time yields one canonical global order (ties keep row
-        // order), independent of how groups were scheduled onto threads.
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for shard in &mut shards {
-            events.extend(std::mem::take(&mut shard.trace).into_events());
-        }
-        events.sort_by_key(|e| e.start);
-        // Flight merge, also row-major: PE series concatenate in PE order,
-        // and link maps union without key collisions (every link is owned by
-        // exactly the shard of its source row). Same fold order at any
-        // thread count ⇒ a bit-identical recording.
         let flight = flight_window.map(|window| {
-            let mut flight_pes: Vec<PeFlight> = Vec::with_capacity(rows * cols);
-            let mut flight_links: BTreeMap<(PeId, PeId), LinkFlight> = BTreeMap::new();
-            for shard in &mut shards {
-                let fs = shard.flight.take().expect("sampling was enabled");
-                let (pes, links) = fs.into_parts();
-                flight_pes.extend(pes);
-                flight_links.extend(links);
-            }
-            FlightRecording::from_parts(window, rows, cols, flight_pes, flight_links)
+            let shards = shards
+                .iter_mut()
+                .map(|s| s.flight.take().expect("recorder was on"))
+                .collect();
+            FlightRecording::merge(window, rows, cols, shards)
         });
         Ok(RunReport {
             outputs,
             pe_stats,
             stats,
             cols,
-            trace: Trace::from_events(events),
-            stage_cycles,
             flight,
         })
     }
@@ -984,41 +871,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stage_attribution_sums_to_busy_cycles() {
-        let recorder = telemetry::Recorder::enabled();
+    /// Run `program` once on a flight-recorded 1×1 unit-cost mesh.
+    fn recorded(program: impl PeProgram + 'static) -> RunReport {
         let cfg = MeshConfig::new(1, 1)
             .with_cost(CostModel::unit())
-            .with_recorder(recorder.clone());
+            .with_flight_window(16);
         let mut sim = Simulator::new(cfg);
-        sim.set_program(PeId::new(0, 0), Box::new(Staged));
+        sim.set_program(PeId::new(0, 0), Box::new(program));
         sim.activate(PeId::new(0, 0), T0, Time::ZERO);
-        let report = sim.run().unwrap();
+        sim.run().unwrap()
+    }
 
-        assert!(report.has_stage_attribution());
-        let totals = report.stage_totals();
+    #[test]
+    fn stage_attribution_sums_to_busy_cycles() {
+        let report = recorded(Staged);
+        let flight = report.flight().unwrap();
+        let totals = flight.stage_totals();
         assert_eq!(totals["quant-mul"], cyc(10));
         assert_eq!(totals["lorenzo"], cyc(5));
         assert_eq!(totals[""], cyc(3)); // empty label is still a label
         assert_eq!(totals["dispatch"], cyc(1)); // unit task overhead
         let attributed: Time = totals.values().copied().sum();
         assert_eq!(attributed, report.stats().total_busy_cycles);
-        // The recorder saw the run counters.
-        let snap = recorder.snapshot();
-        assert_eq!(snap.counters["sim.tasks"], 1);
-        assert_eq!(snap.histograms["sim.pe_busy_cycles"].count, 1);
+        // The per-PE totals are the same four stages, sorted by name.
+        let names: Vec<&str> = flight
+            .pe(PeId::new(0, 0))
+            .stages
+            .iter()
+            .map(|(s, _)| &**s)
+            .collect();
+        assert_eq!(names, ["", "dispatch", "lorenzo", "quant-mul"]);
     }
 
     #[test]
     fn unlabelled_charges_fall_into_unattributed() {
-        let cfg = MeshConfig::new(1, 1)
-            .with_cost(CostModel::unit())
-            .with_recorder(telemetry::Recorder::enabled());
-        let mut sim = Simulator::new(cfg);
-        sim.set_program(PeId::new(0, 0), Box::new(Burn(7)));
-        sim.activate(PeId::new(0, 0), T0, Time::ZERO);
-        let report = sim.run().unwrap();
-        let totals = report.stage_totals();
+        let totals = recorded(Burn(7)).flight().unwrap().stage_totals();
         assert_eq!(totals["unattributed"], cyc(7));
         assert_eq!(totals["dispatch"], cyc(1));
     }
@@ -1030,24 +917,18 @@ mod tests {
         sim.set_program(PeId::new(0, 0), Box::new(Staged));
         sim.activate(PeId::new(0, 0), T0, Time::ZERO);
         let report = sim.run().unwrap();
-        assert!(!report.has_stage_attribution());
-        assert!(report.stage_totals().is_empty());
+        assert!(report.flight().is_none());
         assert_eq!(report.stats().finish_cycle, cyc(19)); // timing unchanged
+        assert_eq!(report, recorded(Staged));
     }
 
     #[test]
     fn trace_slices_carry_dominant_stage_label() {
-        let cfg = MeshConfig::new(1, 1)
-            .with_cost(CostModel::unit())
-            .with_recorder(telemetry::Recorder::enabled())
-            .with_trace(true);
-        let mut sim = Simulator::new(cfg);
-        sim.set_program(PeId::new(0, 0), Box::new(Staged));
-        sim.activate(PeId::new(0, 0), T0, Time::ZERO);
-        let report = sim.run().unwrap();
-        let events = report.trace().events();
+        let report = recorded(Staged);
+        let events = report.flight().unwrap().timeline().events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].label.as_deref(), Some("quant-mul"));
+        assert_eq!((events[0].start, events[0].end), (Time::ZERO, cyc(19)));
     }
 
     #[test]
@@ -1076,7 +957,7 @@ mod tests {
     fn mixed_mesh_report_with(threads: usize, engine: EngineMode) -> RunReport {
         let cfg = MeshConfig::new(4, 2)
             .with_cost(CostModel::unit())
-            .with_trace(true)
+            .with_flight_window(4)
             .with_threads_exact(threads)
             .with_engine(engine);
         let mut sim = Simulator::new(cfg);
@@ -1138,6 +1019,7 @@ mod tests {
         for threads in [2, 4, 8] {
             let parallel = mixed_mesh_report(threads);
             assert_eq!(serial, parallel, "threads={threads} diverged");
+            assert_eq!(serial.flight(), parallel.flight(), "threads={threads}");
         }
     }
 
@@ -1145,12 +1027,14 @@ mod tests {
     fn cycle_stepped_reference_matches_event_driven() {
         // The tentpole equivalence: the event-driven engine skips idle cycle
         // windows and idle shards, the cycle-stepped reference visits every
-        // one — and the reports (timing, outputs, trace order, stage
-        // attribution) are bit-identical, serial and threaded.
+        // one — and the reports (timing, outputs) and recordings (timeline
+        // order, stage attribution, series) are bit-identical, serial and
+        // threaded.
         let event = mixed_mesh_report_with(1, EngineMode::EventDriven);
         for threads in [1, 2, 8] {
             let stepped = mixed_mesh_report_with(threads, EngineMode::CycleStepped);
             assert_eq!(event, stepped, "cycle-stepped @ {threads} threads diverged");
+            assert_eq!(event.flight(), stepped.flight(), "{threads} threads");
         }
     }
 

@@ -1,9 +1,15 @@
-//! Execution tracing: a per-PE task timeline, the simulator's analogue of
-//! the CS-2's hardware cycle counters (§5.1.1 of the CereSZ paper measures
-//! runtime with exactly such counters).
+//! The task timeline: one event per executed task, the simulator's
+//! analogue of the CS-2's hardware cycle counters (§5.1.1 of the CereSZ
+//! paper measures runtime with exactly such counters).
 //!
-//! Tracing is opt-in (`MeshConfig::with_trace`) because recording every task
-//! of a multi-million-block run would dwarf the simulation itself.
+//! The timeline is a fold of the flight recorder's task records, so it is
+//! recorded exactly when the run is flight-recorded
+//! (`MeshConfig::with_flight`) and read through
+//! `FlightRecording::timeline`.
+
+use std::sync::Arc;
+
+use telemetry::chrome::ChromeTrace;
 
 use crate::geom::PeId;
 use crate::program::TaskId;
@@ -20,10 +26,9 @@ pub struct TraceEvent {
     pub start: Time,
     /// End instant.
     pub end: Time,
-    /// Dominant kernel stage of the task (most charged time), when stage
-    /// attribution was active during the run. Used as the slice name by the
-    /// Perfetto exporter.
-    pub label: Option<String>,
+    /// Dominant kernel stage of the task (most charged time), if it charged
+    /// any time at all. Used as the slice name by the Perfetto exporter.
+    pub label: Option<Arc<str>>,
 }
 
 /// A recorded timeline.
@@ -33,32 +38,16 @@ pub struct Trace {
 }
 
 impl Trace {
-    pub(crate) fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    /// Rebuild a trace from already-ordered events (the sharded engine's
-    /// merge step sorts per-shard timelines before constructing the final
-    /// trace).
+    /// A trace of already-ordered events (the recording merge sorts the
+    /// per-shard timelines first).
     pub(crate) fn from_events(events: Vec<TraceEvent>) -> Self {
         Self { events }
     }
 
-    /// Consume the trace, yielding its events in recorded order.
-    pub(crate) fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
-    /// All events in execution order.
+    /// All events in ascending start order.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Events of one PE.
-    #[must_use]
-    pub fn events_of(&self, pe: PeId) -> Vec<TraceEvent> {
-        self.events.iter().filter(|e| e.pe == pe).cloned().collect()
     }
 
     /// Render an ASCII Gantt chart of the first `window` of simulated time,
@@ -109,29 +98,27 @@ impl Trace {
         out
     }
 
-    /// Export the timeline as a Chrome-trace document (loadable in
-    /// Perfetto / `chrome://tracing`): one process named `process_name`, one
-    /// thread track per PE, one complete slice per task. Slice names use the
-    /// event's stage label when present, else the task id. Cycles map to
-    /// trace microseconds 1:1, so 1 "µs" on screen is 1 simulated cycle.
-    #[must_use]
-    pub fn chrome_trace(&self, process_name: &str, cols: usize) -> telemetry::chrome::ChromeTrace {
-        const PID: u64 = 1;
-        let mut out = telemetry::chrome::ChromeTrace::new();
-        out.set_process_name(PID, process_name);
+    /// The timeline as a Chrome-trace document: process `pid` named
+    /// `process_name`, one thread track per PE, one complete slice per
+    /// task. Slice names use the event's stage label when present, else the
+    /// task id. Cycles map to trace microseconds 1:1, so 1 "µs" on screen
+    /// is 1 simulated cycle.
+    pub(crate) fn chrome_trace(&self, pid: u64, process_name: &str, cols: usize) -> ChromeTrace {
+        let mut out = ChromeTrace::new();
+        out.set_process_name(pid, process_name);
         let mut pes: Vec<PeId> = self.events.iter().map(|e| e.pe).collect();
         pes.sort_unstable();
         pes.dedup();
         for pe in &pes {
-            out.set_thread_name(PID, pe.index(cols) as u64, format!("{pe}"));
+            out.set_thread_name(pid, pe.index(cols) as u64, format!("{pe}"));
         }
         for e in &self.events {
             let name = match &e.label {
-                Some(label) => label.clone(),
+                Some(label) => label.to_string(),
                 None => format!("task-{}", e.task.0),
             };
             out.complete_slice(
-                PID,
+                pid,
                 e.pe.index(cols) as u64,
                 name,
                 "task",
@@ -140,21 +127,6 @@ impl Trace {
             );
         }
         out
-    }
-
-    /// Busy fraction of `pe` within `[0, until]`.
-    #[must_use]
-    pub fn utilization_of(&self, pe: PeId, until: Time) -> f64 {
-        if until.is_zero() {
-            return 0.0;
-        }
-        let busy: Time = self
-            .events
-            .iter()
-            .filter(|e| e.pe == pe && e.start < until)
-            .map(|e| e.end.min(until) - e.start)
-            .sum();
-        busy.ticks() as f64 / until.ticks() as f64
     }
 }
 
@@ -177,22 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn utilization_math() {
-        let mut t = Trace::default();
-        t.record(ev(0, Time::from_cycles(0), Time::from_cycles(25)));
-        t.record(ev(0, Time::from_cycles(50), Time::from_cycles(75)));
-        assert!((t.utilization_of(PeId::new(0, 0), Time::from_cycles(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(
-            t.utilization_of(PeId::new(1, 0), Time::from_cycles(100)),
-            0.0
-        );
-    }
-
-    #[test]
     fn gantt_marks_busy_spans() {
-        let mut t = Trace::default();
-        t.record(ev(0, Time::from_cycles(0), Time::from_cycles(50)));
-        t.record(ev(1, Time::from_cycles(50), Time::from_cycles(100)));
+        let t = Trace::from_events(vec![
+            ev(0, Time::from_cycles(0), Time::from_cycles(50)),
+            ev(1, Time::from_cycles(50), Time::from_cycles(100)),
+        ]);
         let g = t.gantt(Time::from_cycles(100), 20);
         let lines: Vec<&str> = g.lines().collect();
         assert!(lines[0].contains("PE(0,0)"));
@@ -213,17 +174,18 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_one_track_per_pe_and_one_slice_per_task() {
-        let mut t = Trace::default();
-        t.record(ev(0, Time::from_cycles(0), Time::from_cycles(10)));
-        t.record(ev(1, Time::from_cycles(5), Time::from_cycles(20)));
-        t.record(TraceEvent {
-            pe: PeId::new(0, 0),
-            task: TaskId(3),
-            start: Time::from_cycles(12),
-            end: Time::from_cycles(14),
-            label: Some("lorenzo".into()),
-        });
-        let doc = t.chrome_trace("test mesh", 4).to_json();
+        let t = Trace::from_events(vec![
+            ev(0, Time::from_cycles(0), Time::from_cycles(10)),
+            ev(1, Time::from_cycles(5), Time::from_cycles(20)),
+            TraceEvent {
+                pe: PeId::new(0, 0),
+                task: TaskId(3),
+                start: Time::from_cycles(12),
+                end: Time::from_cycles(14),
+                label: Some("lorenzo".into()),
+            },
+        ]);
+        let doc = t.chrome_trace(1, "test mesh", 4).to_json();
         let text = doc.to_pretty();
         let parsed = telemetry::json::parse(&text).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
@@ -252,8 +214,7 @@ mod tests {
         // start one tick short of the window maps into the final cell and
         // must not index past the row.
         let start = Time::from_cycles(1) - Time::from_ticks(1);
-        let mut t = Trace::default();
-        t.record(ev(0, start, at(15)));
+        let t = Trace::from_events(vec![ev(0, start, at(15))]);
         let g = t.gantt(Time::from_cycles(1), 3);
         let bar = g.lines().next().unwrap().split('|').nth(1).unwrap();
         assert_eq!(bar, "..#");
@@ -263,8 +224,7 @@ mod tests {
     fn gantt_start_exactly_at_window_is_excluded() {
         // A span beginning exactly on the window edge is outside `[0, window)`
         // — pinned: it draws nothing (no wrap-around, no panic).
-        let mut t = Trace::default();
-        t.record(ev(0, Time::from_cycles(1), Time::from_cycles(2)));
+        let t = Trace::from_events(vec![ev(0, Time::from_cycles(1), Time::from_cycles(2))]);
         let g = t.gantt(Time::from_cycles(1), 3);
         let bar = g.lines().next().unwrap().split('|').nth(1).unwrap();
         assert_eq!(bar, "...");
@@ -273,8 +233,7 @@ mod tests {
     #[test]
     fn gantt_zero_length_event_marks_one_cell() {
         let start = Time::from_cycles(1) - Time::from_ticks(1);
-        let mut t = Trace::default();
-        t.record(ev(0, start, start));
+        let t = Trace::from_events(vec![ev(0, start, start)]);
         let g = t.gantt(Time::from_cycles(1), 3);
         let bar = g.lines().next().unwrap().split('|').nth(1).unwrap();
         assert_eq!(bar, "..#");

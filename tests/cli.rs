@@ -152,6 +152,73 @@ fn observe_reports_congestion_and_writes_artifacts() {
 }
 
 #[test]
+fn profile_writes_attributed_profile_and_recorded_trace() {
+    use ceresz::telemetry::json::{parse, JsonValue};
+
+    let dir = tmpdir("profile");
+    let orig_path = dir.join("orig.f32");
+    let profile_path = dir.join("profile.json");
+    let trace_path = dir.join("trace.json");
+    let data: Vec<f32> = (0..32 * 64)
+        .map(|i| (i as f32 * 0.013).sin() * 20.0)
+        .collect();
+    write_f32(&orig_path, &data);
+
+    let out = Command::new(bin())
+        .args([
+            "profile",
+            orig_path.to_str().unwrap(),
+            "--rel",
+            "1e-3",
+            "--strategy",
+            "multi-pipeline",
+            "--rows",
+            "2",
+            "--len",
+            "4",
+            "--pipelines",
+            "2",
+            "--out",
+            profile_path.to_str().unwrap(),
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Every busy tick is attributed to exactly one stage.
+    let profile = parse(&std::fs::read_to_string(&profile_path).unwrap()).unwrap();
+    let ticks = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap() as u64;
+    let stages = profile.get("stages").and_then(JsonValue::as_arr).unwrap();
+    assert!(!stages.is_empty());
+    let attributed: u64 = stages.iter().map(|s| ticks(s, "ticks")).sum();
+    assert_eq!(attributed, ticks(&profile, "total_busy_ticks"));
+
+    // One slice per task, plus the flight recording's counter tracks.
+    let trace = parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let events = trace
+        .get("traceEvents")
+        .and_then(JsonValue::as_arr)
+        .unwrap();
+    let phase = |ph: &'static str| {
+        events
+            .iter()
+            .filter(move |e| e.get("ph").and_then(JsonValue::as_str) == Some(ph))
+    };
+    assert_eq!(phase("X").count() as u64, ticks(&profile, "total_tasks"));
+    assert!(phase("C").count() > 0);
+    assert!(phase("C").all(|e| e
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .is_some_and(|n| n.starts_with("flight: "))));
+}
+
+#[test]
 fn lint_json_sweep_reports_all_mappings() {
     let out = Command::new(bin())
         .args(["lint", "--json"])

@@ -1,11 +1,14 @@
 //! Determinism of the sharded parallel simulator core: the same mapping
 //! executed at any thread count must produce a bit-identical [`RunReport`]
-//! — same outputs, same statistics, same per-stage cycle attribution, same
-//! trace. This is the contract that makes `--threads` safe to enable
+//! — same outputs, same statistics — and a bit-identical flight recording:
+//! same series, same per-stage cycle attribution, same labelled task
+//! timeline. This is the contract that makes `--threads` safe to enable
 //! anywhere: parallelism is an implementation detail, never an observable.
 
 use ceresz::core::{CereszConfig, Codec, ErrorBound};
-use ceresz::wse::{execute, execute_strategy, EngineMode, SimOptions, Strategy, StrategyKind};
+use ceresz::wse::{
+    execute, execute_strategy, EngineMode, SimOptions, Strategy, StrategyKind, StrategyRun, Time,
+};
 
 fn wavy(n: usize) -> Vec<f32> {
     (0..n)
@@ -27,10 +30,25 @@ fn sparse(n_blocks: usize) -> Vec<f32> {
     data
 }
 
+/// The recording attributes every busy tick to a kernel stage: stage
+/// totals are non-empty and sum exactly to the run's busy cycles, and the
+/// timeline holds one labelled event per task.
+fn assert_attribution_complete(run: &StrategyRun, what: &str) {
+    let flight = run.report.flight().expect("run was flight-recorded");
+    let totals = flight.stage_totals();
+    assert!(totals.len() > 1, "{what}: no stage attribution");
+    let attributed: Time = totals.values().copied().sum();
+    assert_eq!(attributed, run.stats.total_busy_cycles, "{what}");
+    let timeline = flight.timeline().events();
+    assert_eq!(timeline.len() as u64, run.stats.total_tasks, "{what}");
+    assert!(timeline.iter().any(|e| e.label.is_some()), "{what}");
+}
+
 /// The headline acceptance check: a 64×64 mesh (multi-pipeline, the
 /// strategy with the most cross-row structure) stepped serially and with
-/// 2 and 8 worker threads yields the *same* report object: equal outputs,
-/// equal stats, equal stage totals, equal trace.
+/// 2 and 8 worker threads yields the *same* report object — equal outputs,
+/// equal stats — and the same flight recording: equal series, equal stage
+/// totals, equal labelled timeline.
 #[test]
 fn run_report_is_bit_identical_across_thread_counts() {
     // 64 rows × (8 pipelines of length 8) = a full 64×64 mesh; one whole
@@ -44,28 +62,34 @@ fn run_report_is_bit_identical_across_thread_counts() {
     let data = wavy(32 * 64 * 8);
     let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
 
-    let serial = execute(kind, &data, &cfg, &SimOptions::default().with_trace(true)).unwrap();
+    let recorded = SimOptions::default().with_flight_window(1024);
+    let serial = execute(kind, &data, &cfg, &recorded).unwrap();
+    assert_attribution_complete(&serial, "serial");
+    let reference = serial.report.flight().unwrap();
     for threads in [2usize, 8] {
         // Exact thread counts: the sweep must exercise real sharding even
         // on a 1-core CI host (`with_threads` would clamp to 1 there).
-        let options = SimOptions::default()
-            .with_trace(true)
-            .with_threads_exact(threads);
+        let options = recorded.clone().with_threads_exact(threads);
         let sharded = execute(kind, &data, &cfg, &options).unwrap();
         assert_eq!(
             sharded.report, serial.report,
             "RunReport diverged at {threads} threads"
         );
         assert_eq!(sharded.compressed.data, serial.compressed.data);
+        let flight = sharded.report.flight().unwrap();
         assert_eq!(
-            sharded.report.stats(),
-            serial.report.stats(),
-            "SimStats diverged at {threads} threads"
+            flight.stage_totals(),
+            reference.stage_totals(),
+            "stage attribution diverged at {threads} threads"
         );
         assert_eq!(
-            sharded.report.stage_totals(),
-            serial.report.stage_totals(),
-            "stage attribution diverged at {threads} threads"
+            flight.timeline(),
+            reference.timeline(),
+            "timeline diverged at {threads} threads"
+        );
+        assert_eq!(
+            flight, reference,
+            "flight recording diverged at {threads} threads"
         );
     }
 }
@@ -107,7 +131,7 @@ fn every_strategy_is_thread_count_invariant() {
     }
 }
 
-/// Observability must be unobservable: enabling flight-recorder sampling
+/// Observability must be unobservable: enabling the flight recorder
 /// changes neither the archive bytes nor the `RunReport` (whose equality
 /// deliberately excludes the recording itself), at every tested thread
 /// count, for every strategy.
@@ -231,8 +255,8 @@ fn strategies_agree_bitwise_through_the_trait() {
 
 /// The discrete-event engine is an *optimization*, never a semantic change:
 /// for every strategy, at 1, 2, and 8 worker threads, it produces a
-/// `RunReport` AND a `FlightRecording` bit-identical to the cycle-stepped
-/// reference engine.
+/// `RunReport` AND a `FlightRecording` (series, stage totals, labelled
+/// timeline) bit-identical to the cycle-stepped reference engine.
 #[test]
 fn event_engine_matches_cycle_stepped_reference() {
     let data = wavy(32 * 48);
@@ -271,6 +295,7 @@ fn event_engine_matches_cycle_stepped_reference() {
                 event.report, stepped.report,
                 "{kind:?}: engines diverged at {threads} threads"
             );
+            assert_attribution_complete(&event, &format!("{kind:?} @ {threads}"));
             assert_eq!(
                 event.report.flight().unwrap(),
                 stepped.report.flight().unwrap(),
