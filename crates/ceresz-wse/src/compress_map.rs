@@ -111,8 +111,8 @@ fn run_group<C: Charger>(
 /// (Fig. 9b); every later PE receives framed state from its western
 /// neighbour. The last PE emits.
 struct StagePe {
-    /// Sub-stages this PE executes.
-    stages: Vec<SubStageKind>,
+    /// Sub-stages this PE executes, shared by every PE of its stage group.
+    stages: Arc<[SubStageKind]>,
     /// Color the input arrives on.
     in_color: Color,
     /// Blocks to relay before claiming one (= pipelines downstream); 0
@@ -215,8 +215,9 @@ impl PeProgram for StagePe {
 /// What every pipeline of one mapping shares: the plan's stage groups,
 /// their working sets, and the zero-block replay chain.
 struct PipelineSpec {
-    /// Stage group of each pipeline PE.
-    groups: Vec<Vec<SubStageKind>>,
+    /// Stage group of each pipeline PE, built once and shared by every
+    /// pipeline's PE of that group.
+    groups: Vec<Arc<[SubStageKind]>>,
     /// Working-set bytes of each pipeline PE.
     working_sets: Vec<usize>,
     /// Replay-memo entry of each pipeline PE for the canonical all-zero
@@ -234,7 +235,7 @@ impl PipelineSpec {
     fn new(plan: &CompressionPlan, codec: BlockCodec, eps: f64, pipelines_per_row: usize) -> Self {
         let len = plan.pipeline_length;
         let kinds: Vec<SubStageKind> = plan.stages.iter().map(|s| s.kind).collect();
-        let groups: Vec<Vec<SubStageKind>> = (0..len)
+        let groups: Vec<Arc<[SubStageKind]>> = (0..len)
             .map(|g| plan.groups.group(g).map(|i| kinds[i]).collect())
             .collect();
         let working_sets =
@@ -322,7 +323,7 @@ impl PipelineSpec {
             let receives = rounds * (quota + 1);
             let working_set = self.working_sets[g];
             let program = StagePe {
-                stages: self.groups[g].clone(),
+                stages: Arc::clone(&self.groups[g]),
                 in_color,
                 relay_quota: quota,
                 relay_out,

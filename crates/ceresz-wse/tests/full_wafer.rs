@@ -12,11 +12,28 @@
 //!   bit-identical [`RunReport`]s;
 //! * the report is bitwise invariant across 1/2/8 worker threads (exact
 //!   counts, so real multi-threaded merges run even on a 1-core host);
-//! * the compressed stream matches the serial reference codec bit for bit.
+//! * the compressed stream matches the serial reference codec bit for bit;
+//! * the process's peak resident set stays under [`PEAK_RSS_CEILING_MB`].
 
 use ceresz_core::{CereszConfig, Codec, ErrorBound};
 use ceresz_wse::{execute, EngineMode, SimOptions, StrategyKind, StrategyRun};
 use wse_sim::{CS2_USABLE_COLS, CS2_USABLE_ROWS};
+
+/// Ceiling on this test's peak resident set (`VmHWM`), about 2× the
+/// measured peak, the same 2× rule as the simulator's `event_cost` and
+/// `verify_cost` gates. Per-PE state sized by the colors each PE uses
+/// brought the peak from 2 548 MB to 415 MB (release and debug builds, x86-64
+/// Linux); the dense 24-color tables it replaced fail this gate.
+const PEAK_RSS_CEILING_MB: u64 = 830;
+
+/// Peak resident set of this process in MB, from `VmHWM` in
+/// `/proc/self/status`; `None` where that file does not exist.
+fn peak_rss_mb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024)
+}
 
 /// 142 pipelines of length 7 per row fill all 994 usable columns.
 fn full_wafer_kind() -> StrategyKind {
@@ -74,6 +91,14 @@ fn full_wafer_engines_and_threads_agree() {
         assert_eq!(
             run.report, event.report,
             "full-wafer report diverged at {threads} threads"
+        );
+    }
+
+    if let Some(peak) = peak_rss_mb() {
+        println!("full-wafer smoke peak RSS: {peak} MB");
+        assert!(
+            peak <= PEAK_RSS_CEILING_MB,
+            "full-wafer smoke peaked at {peak} MB, over the {PEAK_RSS_CEILING_MB} MB ceiling"
         );
     }
 }

@@ -15,9 +15,11 @@ use crate::time::Time;
 /// Number of routable colors on the CS-2 fabric.
 pub const MAX_COLORS: u8 = 24;
 
-/// Width of the dense per-PE color tables (`MAX_COLORS` as a `usize`).
-/// Every hot-path structure keyed by color is a flat `[T; COLOR_SLOTS]`
-/// (or a `Vec` chunked by `COLOR_SLOTS`) indexed with [`Color::index`].
+/// Width of a per-PE color table (`MAX_COLORS` as a `usize`). Tables every
+/// PE fills — the routing rules — are a `Vec` chunked by `COLOR_SLOTS` and
+/// indexed with [`Color::index`]. Per-PE receive state is sized by the
+/// colors the PE uses instead: a `[u8; COLOR_SLOTS]` map from color to the
+/// PE's few ports, so no color-keyed lookup on the hot path hashes.
 pub const COLOR_SLOTS: usize = MAX_COLORS as usize;
 
 /// Number of outgoing neighbor links per PE (N/S/E/W), the stride of the

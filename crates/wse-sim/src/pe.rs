@@ -77,25 +77,92 @@ impl Inbox {
     }
 }
 
+/// Receive state of one color on one PE: queued wavelets, the outstanding
+/// input DSD, and the completed buffer awaiting `take_received`.
+#[derive(Debug, Default)]
+pub(crate) struct Port {
+    /// Wavelets delivered, not yet claimed by an input DSD.
+    pub inbox: Inbox,
+    /// At most one outstanding input DSD.
+    pub pending: Option<PendingRecv>,
+    /// Completed receive buffer awaiting `take_received`.
+    pub completed: Option<Vec<u32>>,
+}
+
+/// The receive ports of one PE, one per color it has touched.
+///
+/// A 24-byte `color → slot` map indexes a vector holding only the ports in
+/// use, so a compression PE (one receive color) carries one port instead of
+/// 24, and the hot path still never hashes a color. A port is created on
+/// first touch — a posted receive or a delivery, whichever comes first.
+pub(crate) struct Ports {
+    /// `slot_of[color.index()]` is the port's index in `ports`, or
+    /// [`Ports::ABSENT`] — an index no port vector reaches (there are at
+    /// most 24 ports), so a lookup of an untouched color finds nothing.
+    slot_of: [u8; COLOR_SLOTS],
+    ports: Vec<Port>,
+}
+
+impl Ports {
+    const ABSENT: u8 = u8::MAX;
+
+    fn new() -> Self {
+        Self {
+            slot_of: [Self::ABSENT; COLOR_SLOTS],
+            ports: Vec::new(),
+        }
+    }
+
+    /// The port of `color`, if the PE has touched it.
+    pub fn get(&self, color: Color) -> Option<&Port> {
+        self.ports.get(usize::from(self.slot_of[color.index()]))
+    }
+
+    /// Mutable access to the port of `color`, if the PE has touched it.
+    pub fn get_mut(&mut self, color: Color) -> Option<&mut Port> {
+        self.ports.get_mut(usize::from(self.slot_of[color.index()]))
+    }
+
+    /// The port of `color`, created on first touch. Grows the vector one
+    /// port at a time: most PEs touch one color, so amortized doubling would
+    /// mostly allocate ports that never exist.
+    fn entry(&mut self, color: Color) -> &mut Port {
+        let slot = &mut self.slot_of[color.index()];
+        if *slot == Self::ABSENT {
+            *slot = self.ports.len() as u8;
+            self.ports.reserve_exact(1);
+            self.ports.push(Port::default());
+        }
+        &mut self.ports[usize::from(*slot)]
+    }
+
+    /// Touched ports in color-id order — the canonical order of every
+    /// diagnostic, whatever order the colors were first touched in.
+    pub fn iter(&self) -> impl Iterator<Item = (Color, &Port)> {
+        self.slot_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != Self::ABSENT)
+            .map(|(id, &slot)| (Color::new(id as u8), &self.ports[usize::from(slot)]))
+    }
+}
+
 /// Runtime state of one PE.
 ///
-/// Every per-color structure is a fixed `[T; COLOR_SLOTS]` table indexed by
-/// [`Color::index`] — the ≤24-color discipline is enforced by `Color::new`
-/// (and statically by wse-verify), so the hot path never hashes a color.
+/// Per-color receive state lives in [`Ports`], sized to the colors the PE
+/// uses; the ≤24-color discipline is enforced by `Color::new` (and
+/// statically by wse-verify), so the map from color to port is a fixed
+/// 24-byte table and the hot path never hashes a color.
 pub(crate) struct PeState {
     /// The program, taken out while its task runs (re-entrancy guard).
     pub program: Option<Box<dyn PeProgram>>,
     /// Earliest instant the processor is free.
     pub busy_until: Time,
-    /// Wavelets delivered per color, not yet claimed by an input DSD.
-    pub inbox: [Inbox; COLOR_SLOTS],
-    /// At most one outstanding input DSD per color.
-    pub pending_recv: [Option<PendingRecv>; COLOR_SLOTS],
-    /// Completed receive buffers awaiting `take_received`.
-    pub completed: [Option<Vec<u32>>; COLOR_SLOTS],
+    /// Receive state of each color the PE has touched.
+    pub ports: Ports,
     /// Number of colors with an outstanding input DSD — lets the deadlock
-    /// scan and the cycle-stepped poll skip idle PEs without touching the
-    /// per-color tables.
+    /// scan and the cycle-stepped poll skip idle PEs without walking the
+    /// ports.
     pub pending_count: u32,
     /// Local SRAM accounting.
     pub memory: MemoryTracker,
@@ -110,9 +177,7 @@ impl PeState {
         Self {
             program: None,
             busy_until: Time::ZERO,
-            inbox: std::array::from_fn(|_| Inbox::default()),
-            pending_recv: [None; COLOR_SLOTS],
-            completed: std::array::from_fn(|_| None),
+            ports: Ports::new(),
             pending_count: 0,
             memory: MemoryTracker::new(sram_bytes),
             outputs: Vec::new(),
@@ -120,12 +185,13 @@ impl PeState {
         }
     }
 
-    /// Post an input DSD on `color`.
+    /// Post an input DSD on `color` — the one place a color's receive state
+    /// is created by a posting.
     ///
     /// # Panics
     /// If a receive is already outstanding on that color.
     pub fn post_recv(&mut self, pe_name: impl std::fmt::Display, color: Color, recv: PendingRecv) {
-        let prev = self.pending_recv[color.index()].replace(recv);
+        let prev = self.ports.entry(color).pending.replace(recv);
         assert!(
             prev.is_none(),
             "{pe_name} double-posted a receive on {color}"
@@ -140,22 +206,24 @@ impl PeState {
     /// never touched, so the hot path performs no allocation and no copy.
     /// Falls back to queueing + [`Self::try_complete_recv`] otherwise, which
     /// is bit-identical in outcome (same buffer contents, same completion).
+    /// A delivery may precede its receive's posting; it then creates the
+    /// port and queues.
     pub fn deliver(&mut self, color: Color, data: Vec<u32>) -> Option<PendingRecv> {
-        let slot = color.index();
         self.stats.wavelets_received += data.len() as u64;
-        if let Some(pending) = self.pending_recv[slot] {
-            if pending.extent == data.len() && self.inbox[slot].is_empty() {
-                self.pending_recv[slot] = None;
-                self.pending_count -= 1;
-                let prev = self.completed[slot].replace(data);
+        let port = self.ports.entry(color);
+        if let Some(pending) = port.pending {
+            if pending.extent == data.len() && port.inbox.is_empty() {
+                port.pending = None;
+                let prev = port.completed.replace(data);
                 debug_assert!(
                     prev.is_none(),
                     "receive completed on {color} before the previous buffer was taken"
                 );
+                self.pending_count -= 1;
                 return Some(pending);
             }
         }
-        self.inbox[slot].push(data);
+        port.inbox.push(data);
         self.try_complete_recv(color)
     }
 
@@ -163,20 +231,36 @@ impl PeState {
     /// Returns the completed DSD (task to activate plus the cycle it was
     /// posted at) if the receive is now satisfied.
     pub fn try_complete_recv(&mut self, color: Color) -> Option<PendingRecv> {
-        let slot = color.index();
-        let pending = self.pending_recv[slot]?;
-        let inbox = &mut self.inbox[slot];
-        if inbox.len() < pending.extent {
+        let port = self.ports.get_mut(color)?;
+        let pending = port.pending?;
+        if port.inbox.len() < pending.extent {
             return None;
         }
-        let data = inbox.take(pending.extent);
-        self.pending_recv[slot] = None;
-        self.pending_count -= 1;
-        let prev = self.completed[slot].replace(data);
+        let data = port.inbox.take(pending.extent);
+        port.pending = None;
+        let prev = port.completed.replace(data);
         debug_assert!(
             prev.is_none(),
             "receive completed on {color} before the previous buffer was taken"
         );
+        self.pending_count -= 1;
         Some(pending)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PeState;
+
+    #[test]
+    fn pe_state_stays_small() {
+        // A full wafer holds 745 500 of these. Per-color receive state lives
+        // behind `Ports`, sized by the colors the PE touches; a dense
+        // 24-slot table here would cost ~2.4 KB per PE (~1.8 GB a wafer).
+        assert!(
+            std::mem::size_of::<PeState>() <= 256,
+            "PeState grew to {} B",
+            std::mem::size_of::<PeState>()
+        );
     }
 }

@@ -13,10 +13,11 @@
 
 use crate::cost::{CostModel, Op};
 use crate::error::SimError;
-use crate::fabric::{Color, COLOR_SLOTS};
+use crate::fabric::Color;
 use crate::flight::StageLog;
 use crate::geom::PeId;
 use crate::memory::MemoryTracker;
+use crate::pe::Ports;
 use crate::time::Time;
 
 /// Identifier of a task within one PE's program (the analogue of a bound
@@ -73,14 +74,15 @@ pub(crate) enum Effect {
 
 /// Execution context handed to a task.
 ///
-/// Borrows the PE's local state (memory tracker, completed receive buffers)
-/// and records deferred effects plus charged cycles.
+/// Borrows the PE's local state (memory tracker, and the receive ports that
+/// hold completed receive buffers) and records deferred effects plus charged
+/// cycles.
 pub struct TaskCtx<'a> {
     pub(crate) pe: PeId,
     pub(crate) now: Time,
     pub(crate) cost: &'a CostModel,
     pub(crate) memory: &'a mut MemoryTracker,
-    pub(crate) completed: &'a mut [Option<Vec<u32>>; COLOR_SLOTS],
+    pub(crate) ports: &'a mut Ports,
     pub(crate) charged: Time,
     pub(crate) effects: Vec<Effect>,
     /// The flight recorder's stage log, when the run is flight-recorded.
@@ -164,15 +166,18 @@ impl<'a> TaskCtx<'a> {
     /// bug equivalent to reading a DSD that never materialized.
     #[must_use]
     pub fn take_received(&mut self, color: Color) -> Vec<u32> {
-        self.completed[color.index()]
-            .take()
+        self.ports
+            .get_mut(color)
+            .and_then(|port| port.completed.take())
             .unwrap_or_else(|| panic!("{} has no completed receive on {color}", self.pe))
     }
 
     /// Peek whether a completed receive is waiting on `color`.
     #[must_use]
     pub fn has_received(&self, color: Color) -> bool {
-        self.completed[color.index()].is_some()
+        self.ports
+            .get(color)
+            .is_some_and(|port| port.completed.is_some())
     }
 
     /// Locally activate another task of this program (CSL `@activate`).

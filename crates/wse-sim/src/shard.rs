@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use crate::error::SimError;
-use crate::fabric::{Color, Fabric, Hop, COLOR_SLOTS, LINK_SLOTS};
+use crate::fabric::{Color, Fabric, Hop, LINK_SLOTS};
 use crate::flight::{FlightShard, Record};
 use crate::geom::{Direction, PeId};
 use crate::pe::{PeState, PendingRecv};
@@ -173,6 +173,10 @@ pub(crate) struct EngineCtx<'a> {
     pub(crate) fabric: &'a Fabric,
 }
 
+/// A source PE's resolved path on one color: the hops and the delivering
+/// PE.
+type SendPath = (Color, Arc<[Hop]>, PeId);
+
 /// One mesh row's worth of simulation state.
 pub(crate) struct Shard {
     pub(crate) row: usize,
@@ -192,10 +196,12 @@ pub(crate) struct Shard {
     /// `[col * LINK_SLOTS + dir.index()]` (every owned link leaves a PE of
     /// this row, so the column identifies the PE).
     links: Vec<Time>,
-    /// Resolved send paths, lazily filled per `(col, color)` on the first
-    /// send: routing rules are immutable during a run, so a source's path
-    /// never changes. Entries share their hop list with in-flight events.
-    paths: Vec<Option<(Arc<[Hop]>, PeId)>>,
+    /// Resolved send paths per column, one entry per color the PE has sent
+    /// on, filled on its first send: routing rules are immutable during a
+    /// run, so a source's path never changes. A PE sends on at most a few
+    /// colors, so a linear scan finds the entry. Entries share their hop
+    /// list with in-flight events.
+    paths: Vec<Vec<SendPath>>,
     /// Pooled effect buffer lent to each `TaskCtx`, so steady-state task
     /// execution allocates nothing per event.
     fx_buf: Vec<Effect>,
@@ -231,7 +237,7 @@ impl Shard {
             free: Vec::new(),
             seq: seq0,
             links: vec![Time::ZERO; cols * LINK_SLOTS],
-            paths: vec![None; cols * COLOR_SLOTS],
+            paths: (0..cols).map(|_| Vec::new()).collect(),
             fx_buf: Vec::new(),
             events_processed: 0,
             flight: flight_window.map(|w| FlightShard::new(w, cols)),
@@ -333,10 +339,8 @@ impl Shard {
             .iter()
             .filter(|pe| {
                 let recv_ready = pe.pending_count > 0
-                    && pe.pending_recv.iter().enumerate().any(|(slot, pending)| {
-                        pending
-                            .as_ref()
-                            .is_some_and(|p| pe.inbox[slot].len() >= p.extent)
+                    && pe.ports.iter().any(|(_, port)| {
+                        port.pending.is_some_and(|p| port.inbox.len() >= p.extent)
                     });
                 recv_ready && pe.busy_until <= now
             })
@@ -387,7 +391,8 @@ impl Shard {
                 // Queue depth the recorder would have seen after enqueue —
                 // computed up front so the zero-copy delivery fast path
                 // (which never touches the queue) samples the same series.
-                let depth = data.len() + self.pes[idx].inbox[color.index()].len();
+                let queued = self.pes[idx].ports.get(color).map_or(0, |p| p.inbox.len());
+                let depth = data.len() + queued;
                 let completed = self.pes[idx].deliver(color, data);
                 if let Some(flight) = &mut self.flight {
                     flight.record(Record::RecvWait {
@@ -529,7 +534,7 @@ impl Shard {
             now: start,
             cost: &ctx.config.cost,
             memory: &mut state.memory,
-            completed: &mut state.completed,
+            ports: &mut state.ports,
             charged: Time::ZERO,
             effects: std::mem::take(&mut self.fx_buf),
             stages: self.flight.as_mut().map(|flight| &mut flight.stages),
@@ -569,13 +574,14 @@ impl Shard {
                     // Routing rules are immutable during the run, so the
                     // resolved path of (source PE, color) is too — resolve it
                     // once and share the hop list with every stream.
-                    let slot = idx * COLOR_SLOTS + color.index();
-                    let (hops, dest) = match &self.paths[slot] {
-                        Some((hops, dest)) => (Arc::clone(hops), *dest),
+                    let paths = &mut self.paths[idx];
+                    let (hops, dest) = match paths.iter().find(|(c, ..)| *c == color) {
+                        Some((_, hops, dest)) => (Arc::clone(hops), *dest),
                         None => {
                             let path = ctx.fabric.resolve_path(pe, color, None)?;
                             let hops: Arc<[Hop]> = path.hops.into();
-                            self.paths[slot] = Some((Arc::clone(&hops), path.dest));
+                            paths.reserve_exact(1);
+                            paths.push((color, Arc::clone(&hops), path.dest));
                             (hops, path.dest)
                         }
                     };

@@ -312,16 +312,15 @@ impl Simulator {
     /// Post an initial input DSD on `pe` before the run starts.
     pub fn post_recv(&mut self, pe: PeId, color: Color, extent: usize, task: TaskId) {
         let state = self.pe_state(pe).expect("recv PE outside mesh");
-        let prev = state.pending_recv[color.index()].replace(PendingRecv {
-            extent,
-            task,
-            posted_at: Time::ZERO,
-        });
-        assert!(
-            prev.is_none(),
-            "{pe} already has a pending receive on {color}"
+        state.post_recv(
+            pe,
+            color,
+            PendingRecv {
+                extent,
+                task,
+                posted_at: Time::ZERO,
+            },
         );
-        state.pending_count += 1;
     }
 
     /// Schedule an explicit task activation at `time` (the host-side kick
@@ -467,22 +466,19 @@ impl Simulator {
                 let pe = PeId::new(shard.row, col);
                 blocked.push(BlockedPe {
                     pe,
-                    // Walking the dense table yields color-id order — a
-                    // canonical diagnostic order at any thread count.
+                    // The ports walk in color-id order — a canonical
+                    // diagnostic order at any thread count.
                     waiting_on: state
-                        .pending_recv
+                        .ports
                         .iter()
-                        .enumerate()
-                        .filter_map(|(slot, p)| p.as_ref().map(|p| (slot, p)))
-                        .map(|(slot, p)| {
-                            let color = Color::new(slot as u8);
-                            let have = state.inbox[slot].len();
-                            BlockedRecv {
+                        .filter_map(|(color, port)| {
+                            let pending = port.pending?;
+                            Some(BlockedRecv {
                                 color,
-                                missing: p.extent.saturating_sub(have),
+                                missing: pending.extent.saturating_sub(port.inbox.len()),
                                 feeders: self.fabric.origins_reaching(pe, color),
                                 has_rule: self.fabric.rule(pe, color).is_some(),
-                            }
+                            })
                         })
                         .collect(),
                 });
@@ -756,6 +752,90 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// Posts its receives from a task, so deliveries can land first; emits
+    /// each completed buffer tagged with its color.
+    struct PostLate(&'static [(u8, usize)]);
+    impl PeProgram for PostLate {
+        fn on_task(&mut self, ctx: &mut TaskCtx<'_>, t: TaskId) -> Result<(), SimError> {
+            if t == T0 {
+                for &(id, extent) in self.0 {
+                    ctx.recv_async(Color::new(id), extent, TaskId(u16::from(id) + 1));
+                }
+            } else {
+                let color = Color::new((t.0 - 1) as u8);
+                let mut data = ctx.take_received(color);
+                data.insert(0, u32::from(color.id()));
+                ctx.emit(data);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn delivery_on_an_unposted_color_waits_for_its_receive() {
+        // The stream lands at cycle 3, long before the receive is posted
+        // (the kick at cycle 10): it queues on a port the delivery created,
+        // and the later posting of that extent completes at once.
+        let cfg = MeshConfig::new(1, 1).with_cost(CostModel::unit());
+        let mut sim = Simulator::new(cfg);
+        sim.set_program(PeId::new(0, 0), Box::new(PostLate(&[(9, 3)])));
+        sim.inject_stream(PeId::new(0, 0), Color::new(9), vec![4, 5, 6], Time::ZERO);
+        sim.activate(PeId::new(0, 0), T0, cyc(10));
+        let report = sim.run().unwrap();
+        assert_eq!(report.outputs(PeId::new(0, 0)), &[vec![9, 4, 5, 6]]);
+        // Post task 10 → 11; the receive completes at 11, its task 11 → 12.
+        assert_eq!(report.stats().finish_cycle, cyc(12));
+    }
+
+    #[test]
+    fn receives_on_colors_posted_out_of_order_complete_independently() {
+        let cfg = MeshConfig::new(1, 1).with_cost(CostModel::unit());
+        let mut sim = Simulator::new(cfg);
+        let pe = PeId::new(0, 0);
+        sim.set_program(pe, Box::new(PostLate(&[(7, 1), (2, 2), (19, 3)])));
+        sim.activate(pe, T0, Time::ZERO);
+        // Arrivals in yet another order: 19 at cycle 13, 2 at 22, 7 at 31.
+        sim.inject_stream(pe, Color::new(19), vec![190, 191, 192], cyc(10));
+        sim.inject_stream(pe, Color::new(2), vec![20, 21], cyc(20));
+        sim.inject_stream(pe, Color::new(7), vec![70], cyc(30));
+        let report = sim.run().unwrap();
+        assert_eq!(
+            report.outputs(pe),
+            &[vec![19, 190, 191, 192], vec![2, 20, 21], vec![7, 70]]
+        );
+    }
+
+    #[test]
+    fn deadlock_lists_starved_colors_in_id_order() {
+        let cfg = MeshConfig::new(1, 1).with_cost(CostModel::unit());
+        let mut sim = Simulator::new(cfg);
+        let pe = PeId::new(0, 0);
+        sim.set_program(pe, Box::new(PostLate(&[(19, 1), (7, 2), (2, 3)])));
+        sim.activate(pe, T0, Time::ZERO);
+        // Color 7 gets half its extent; 19 and 2 get nothing.
+        sim.inject_stream(pe, Color::new(7), vec![1], cyc(5));
+        match sim.run() {
+            Err(SimError::Deadlock { blocked }) => {
+                assert_eq!(blocked.len(), 1);
+                let waiting: Vec<(u8, usize)> = blocked[0]
+                    .waiting_on
+                    .iter()
+                    .map(|w| (w.color.id(), w.missing))
+                    .collect();
+                assert_eq!(waiting, [(2, 3), (7, 1), (19, 1)]);
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "double-posted a receive on color4")]
+    fn double_posted_receive_panics() {
+        let mut sim = Simulator::new(MeshConfig::new(1, 1));
+        sim.post_recv(PeId::new(0, 0), Color::new(4), 1, T1);
+        sim.post_recv(PeId::new(0, 0), Color::new(4), 1, T1);
     }
 
     #[test]
