@@ -180,11 +180,12 @@ mod tests {
         let eps = cfg.resolve_eps(&data).unwrap();
         let fused = codec.compress(&data).unwrap();
         let staged = codec.compress_staged(&data, eps).unwrap();
-        // The staged stream is v2 (explicit recipe) so headers differ, but
-        // the block payloads must be byte-identical.
+        // A canonical recipe writes the v1 header on both paths (no recipe
+        // bytes); the block payloads after it must be byte-identical.
         let fused_payload = &fused.data[crate::stream::STREAM_HEADER_BYTES..];
         let (h, consumed) = StreamHeader::read_prefix(&staged.data).unwrap();
         assert!(h.recipe.is_canonical());
+        assert_eq!(consumed, crate::stream::STREAM_HEADER_BYTES);
         assert_eq!(&staged.data[consumed..], fused_payload);
         assert_eq!(staged.stats.n_blocks, fused.stats.n_blocks);
         assert_eq!(staged.stats.max_fixed_length, fused.stats.max_fixed_length);

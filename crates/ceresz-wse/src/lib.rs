@@ -33,9 +33,10 @@
 //! measured cycles reproduce the paper's profiling tables and scaling
 //! figures.
 //!
-//! [`decompress_map`] runs decompression on the mesh with the paper's
+//! [`execute_decompress`] runs decompression on the mesh with the paper's
 //! two-phase receive, one stage pipeline per row (length 1 is the
-//! row-parallel case).
+//! row-parallel case), through the same manifest, static verifier and
+//! [`SimOptions`] as compression.
 //!
 //! [`throughput`] adds the full-wafer analytic engine: the same per-block
 //! cycle accounting fed through the paper's Eq. (4) closed form. It is the
@@ -58,6 +59,7 @@ pub mod throughput;
 pub mod wire;
 
 pub use analyze::{analyze_mapping, check_soundness, mem_peaks, profile_json, SoundnessReport};
+pub use decompress_map::{decompression_manifest, execute_decompress, DecompressRun};
 pub use engine::{mapping_manifest, SimOptions};
 pub use error::WseError;
 pub use mapping::MappedMesh;

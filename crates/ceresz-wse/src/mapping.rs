@@ -8,9 +8,12 @@
 //! the wrapper, the manifest cannot drift from the mapping it describes —
 //! the verifier sees exactly what the simulator will execute.
 
-use wse_sim::{Color, Direction, MeshConfig, PeId, PeProgram, RouteRule, Simulator, TaskId, Time};
+use wse_sim::{
+    Color, Direction, MeshConfig, PeId, PeProgram, RouteRule, RunReport, Simulator, TaskId, Time,
+};
 use wse_verify::{MappingManifest, Severity, VerifyReport};
 
+use crate::engine::SimOptions;
 use crate::error::WseError;
 
 /// A simulator under construction together with its static self-description.
@@ -72,8 +75,20 @@ impl MappedMesh {
         total_recvs: usize,
     ) {
         self.sim.post_recv(pe, color, extent, task);
-        self.manifest
-            .declare_recv(pe, color, extent, total_recvs, task);
+        self.declare_recv(pe, color, extent, total_recvs, task);
+    }
+
+    /// Declare `recvs` receives of `extent` wavelets on `color`, each
+    /// activating `task`, that the program at `pe` will chain itself.
+    pub fn declare_recv(
+        &mut self,
+        pe: PeId,
+        color: Color,
+        extent: usize,
+        recvs: usize,
+        task: TaskId,
+    ) {
+        self.manifest.declare_recv(pe, color, extent, recvs, task);
     }
 
     /// Declare a sender: the program at `pe` will issue `sends` async sends
@@ -135,21 +150,22 @@ impl MappedMesh {
     }
 }
 
-/// Gate a constructed mapping on the static verifier: returns
-/// [`WseError::MappingRejected`] carrying every error-severity diagnostic
-/// when verification fails.
-pub(crate) fn ensure_verified(mesh: &MappedMesh) -> Result<(), WseError> {
-    let report = mesh.verify();
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(WseError::MappingRejected {
-            mapping: mesh.manifest().name.clone(),
-            diagnostics: report
-                .diagnostics
-                .into_iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect(),
-        })
+/// The run step of both directions: when `options.verify` is set, gate the
+/// constructed mapping on the static verifier — [`WseError::MappingRejected`]
+/// carries every error-severity diagnostic — then simulate it.
+pub(crate) fn run_verified(mesh: MappedMesh, options: &SimOptions) -> Result<RunReport, WseError> {
+    if options.verify {
+        let report = mesh.verify();
+        if !report.is_clean() {
+            return Err(WseError::MappingRejected {
+                mapping: mesh.manifest.name,
+                diagnostics: report
+                    .diagnostics
+                    .into_iter()
+                    .filter(|d| d.severity == Severity::Error)
+                    .collect(),
+            });
+        }
     }
+    mesh.into_sim().run().map_err(WseError::Sim)
 }

@@ -27,7 +27,7 @@ use crate::compress_map::map_compression;
 use crate::engine::SimOptions;
 use crate::error::WseError;
 use crate::harness::{assemble_blocks, parse_emitted};
-use crate::mapping::MappedMesh;
+use crate::mapping::{run_verified, MappedMesh};
 
 /// Which of the paper's three parallelization strategies to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,10 +379,7 @@ pub fn execute_strategy(
         cols,
     );
     let outcome = strategy.map(&mut mesh, data, cfg)?;
-    if options.verify {
-        crate::mapping::ensure_verified(&mesh)?;
-    }
-    let report = mesh.into_sim().run().map_err(WseError::Sim)?;
+    let report = run_verified(mesh, options)?;
     let mut blocks = Vec::with_capacity(outcome.slots.len());
     for &(pe, idx) in &outcome.slots {
         let outs = report.outputs(pe);

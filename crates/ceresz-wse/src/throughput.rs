@@ -89,6 +89,7 @@ impl WaferConfig {
         sample_every: usize,
         replicate: usize,
     ) -> Result<ThroughputReport, CompressError> {
+        ensure_canonical(cfg.recipe)?;
         let eps = cfg.bound.resolve(data);
         let codec = BlockCodec::new(cfg.block_size, cfg.header);
         let blocks = split_blocks(data, cfg.block_size);
@@ -137,8 +138,10 @@ impl WaferConfig {
         sample_every: usize,
         replicate: usize,
     ) -> Result<ThroughputReport, CompressError> {
-        let header = compressed.header()?;
-        let payload = &compressed.data[ceresz_core::stream::STREAM_HEADER_BYTES..];
+        let (header, header_len) =
+            ceresz_core::stream::StreamHeader::read_prefix(&compressed.data)?;
+        ensure_canonical(header.recipe)?;
+        let payload = &compressed.data[header_len..];
         let codec = header.codec();
         let offsets = ceresz_core::stream::scan_block_offsets(&header, payload)?;
         let stride = sample_every.max(1);
@@ -210,6 +213,17 @@ impl WaferConfig {
     }
 }
 
+/// The analytic reports charge the canonical pipeline's kernels; any other
+/// recipe would be mis-charged.
+fn ensure_canonical(recipe: ceresz_core::recipe::Recipe) -> Result<(), CompressError> {
+    if recipe.is_canonical() {
+        return Ok(());
+    }
+    Err(CompressError::InvalidRecipe(
+        "analytic reports charge only canonical kernels",
+    ))
+}
+
 /// Analytic throughput estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputReport {
@@ -272,6 +286,38 @@ mod tests {
             decomp.gbps,
             comp.gbps
         );
+    }
+
+    fn two_stage_recipe() -> CereszConfig {
+        let recipe = ceresz_core::Recipe::new(&[
+            ceresz_core::StageSpec::PreQuantize,
+            ceresz_core::StageSpec::FixedLength,
+        ])
+        .unwrap();
+        CereszConfig::new(ErrorBound::Rel(1e-3)).with_recipe(recipe)
+    }
+
+    #[test]
+    fn compression_report_rejects_non_canonical_recipes() {
+        let err = WaferConfig::cs2_square(16)
+            .compression_report(&wavy(32 * 40), &two_stage_recipe(), 1)
+            .unwrap_err();
+        assert!(matches!(err, CompressError::InvalidRecipe(_)), "{err:?}");
+    }
+
+    #[test]
+    fn decompression_report_reads_v2_stream_headers() {
+        // A v2 stream carries its recipe after the v1 header fields; slicing
+        // the payload at the v1 length misread the recipe bytes as a block
+        // header (`CorruptHeader`).
+        let cfg = two_stage_recipe();
+        let stream = ceresz_core::Codec::new(cfg)
+            .compress(&wavy(32 * 40))
+            .unwrap();
+        let err = WaferConfig::cs2_square(16)
+            .decompression_report(&stream, 1)
+            .unwrap_err();
+        assert!(matches!(err, CompressError::InvalidRecipe(_)), "{err:?}");
     }
 
     #[test]

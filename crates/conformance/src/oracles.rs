@@ -8,8 +8,10 @@
 
 use baselines::{Codec as BaselineCodec, CompressedBuf};
 use ceresz_core::archive::Archive;
-use ceresz_core::{verify_error_bound, Codec, Compressed, Parallelism};
-use ceresz_wse::{execute, mapping_manifest, SimOptions, WseError};
+use ceresz_core::{verify_error_bound, Codec, Compressed, HeaderWidth, Parallelism};
+use ceresz_wse::{
+    execute, execute_decompress, mapping_manifest, SimOptions, StrategyKind, WseError,
+};
 use wse_sim::SimError;
 
 use crate::generate::Case;
@@ -19,7 +21,10 @@ use crate::rng::Rng;
 /// Oracle 1 — differential: the host reference `compress`, its parallel
 /// variant, and all three simulated mapping strategies must agree exactly:
 /// bit-identical streams on success, the *same* typed
-/// [`CompressError`](ceresz_core::CompressError) on failure. Returns the
+/// [`CompressError`](ceresz_core::CompressError) on failure. Simulated
+/// decompression of the host stream through each strategy's shape must
+/// restore exactly the host decode's bits, or return `DoesNotFit` for
+/// 1-byte block headers and several pipelines per row. Returns the
 /// host stream (None when the case errored everywhere
 /// in agreement) for the downstream oracles to reuse.
 pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
@@ -72,6 +77,40 @@ pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
             }
             (Err(we), Ok(_)) => {
                 return Err(format!("{strategy:?}: host Ok but sim Err({we})"));
+            }
+        }
+    }
+    if let Ok(h) = &host {
+        let decoded = Codec::decompressor(Parallelism::Serial).decompress(&h.data);
+        for strategy in case.strategies {
+            let fits = case.header == HeaderWidth::W4
+                && !matches!(
+                    strategy,
+                    StrategyKind::MultiPipeline {
+                        pipelines_per_row: 2..,
+                        ..
+                    }
+                );
+            match execute_decompress(strategy, h, &SimOptions::default()) {
+                Ok(run) if fits => {
+                    if decoded.as_ref().is_ok_and(|d| {
+                        run.restored
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .ne(d.iter().map(|v| v.to_bits()))
+                    }) {
+                        return Err(format!(
+                            "{strategy:?}: simulated decompression differs from host decode"
+                        ));
+                    }
+                }
+                Err(WseError::DoesNotFit { .. }) if !fits => {}
+                Ok(_) => {
+                    return Err(format!(
+                        "{strategy:?}: simulated decompression accepted a stream it cannot map"
+                    ))
+                }
+                Err(e) => return Err(format!("{strategy:?}: simulated decompression failed: {e}")),
             }
         }
     }
@@ -460,8 +499,18 @@ pub fn oracle_recipes(case: &Case) -> Result<(), String> {
         ));
     }
 
-    // Corrupting the recipe bytes of a v2 stream must be a typed rejection.
+    // Corrupting the recipe bytes of a v2 stream must be a typed rejection,
+    // and the wafer's decompression kernels must refuse the stream.
     if !cfg.recipe.is_canonical() {
+        if !matches!(
+            execute_decompress(case.strategies[0], &c, &SimOptions::default()),
+            Err(WseError::DoesNotFit { .. })
+        ) {
+            return Err(format!(
+                "recipe {}: simulated decompression did not refuse a non-canonical stream",
+                cfg.recipe
+            ));
+        }
         let mut forged = c.data.clone();
         // Stage count byte, then the first stage id.
         for at in [

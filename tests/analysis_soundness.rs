@@ -8,12 +8,15 @@
 //! channel-dependency check must *prove* the mapping deadlock-free.
 //! `ceresz lint --analyze --all-strategies` sweeps all 32 EXPERIMENTS.md
 //! shapes in CI; this test pins a representative subset (every strategy
-//! family, 1-row and multi-row shapes) in the regular suite.
+//! family, 1-row and multi-row shapes) in the regular suite, and the
+//! decompression mapping's row-parallel and pipelined shapes.
 
-use ceresz::core::{CereszConfig, ErrorBound};
-use ceresz::sim::Metric;
+use ceresz::core::{CereszConfig, Codec, ErrorBound};
+use ceresz::sim::{FlightRecording, Metric, PeId, SimStats};
+use ceresz::wse::verify::StaticProfile;
 use ceresz::wse::{
-    analyze_mapping, check_soundness, mapping_manifest, observe, SimOptions, StrategyKind,
+    analyze_mapping, check_soundness, decompression_manifest, execute_decompress, mapping_manifest,
+    mem_peaks, observe, SimOptions, StrategyKind,
 };
 
 fn wavy(n: usize) -> Vec<f32> {
@@ -53,6 +56,67 @@ fn shapes() -> Vec<StrategyKind> {
     ]
 }
 
+/// Every bound of `profile` dominates the observed run: the checker's own
+/// verdict, and the acceptance relations asserted directly.
+fn assert_sound(
+    name: &str,
+    profile: &StaticProfile,
+    stats: &SimStats,
+    flight: &FlightRecording,
+    peaks: &[u64],
+    (rows, cols): (usize, usize),
+) {
+    assert!(
+        profile.is_deadlock_free(),
+        "{name}: deadlock-freedom not proven: {:?}",
+        profile.deadlock
+    );
+    let sound = check_soundness(profile, stats, flight, peaks);
+    assert!(sound.is_sound(), "{name}: {:#?}", sound.violations);
+    assert!(
+        profile.critical_path <= stats.finish_cycle,
+        "{name}: critical path {} exceeds observed makespan {}",
+        profile.critical_path,
+        stats.finish_cycle
+    );
+    for (&(from, to), observed) in flight.links() {
+        let load = profile
+            .links
+            .get(&(from, to))
+            .unwrap_or_else(|| panic!("{name}: {from}->{to} untracked"));
+        assert!(
+            load.wavelets >= observed.wavelets,
+            "{name}: link {from}->{to} static {} < observed {}",
+            load.wavelets,
+            observed.wavelets
+        );
+        assert!(
+            load.occupancy_bound() >= observed.occupancy.total(),
+            "{name}: link {from}->{to} occupancy bound too low"
+        );
+    }
+    for row in 0..rows {
+        for col in 0..cols {
+            let pe = PeId::new(row, col);
+            let peak = peaks[row * cols + col];
+            assert!(
+                profile.sram_bound(pe) >= peak,
+                "{name}: {pe} static watermark {} < observed peak {peak}",
+                profile.sram_bound(pe)
+            );
+            // A PE that computes holds its stage group's working set:
+            // declared statically and reserved at run time.
+            if !flight.pe(pe).metric_total(Metric::Busy).is_zero() {
+                assert!(
+                    profile.sram_bound(pe) > 0 && peak > 0,
+                    "{name}: busy {pe} declares {} B and reserves {peak} B of SRAM",
+                    profile.sram_bound(pe)
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn static_bounds_dominate_the_observed_run_for_every_shape() {
     let data = wavy(32 * 128);
@@ -61,70 +125,48 @@ fn static_bounds_dominate_the_observed_run_for_every_shape() {
     for strategy in shapes() {
         let manifest = mapping_manifest(&data, &cfg, strategy).unwrap();
         let profile = analyze_mapping(&manifest);
-        assert!(
-            profile.is_deadlock_free(),
-            "{}: deadlock-freedom not proven: {:?}",
-            manifest.name,
-            profile.deadlock
-        );
         let rep = observe(&strategy, &data, &cfg, &options).unwrap();
-        let sound = check_soundness(&profile, &rep.stats, &rep.flight, &rep.mem_peak_bytes);
-        assert!(
-            sound.is_sound(),
-            "{}: {:#?}",
-            manifest.name,
-            sound.violations
+        assert_sound(
+            &manifest.name,
+            &profile,
+            &rep.stats,
+            &rep.flight,
+            &rep.mem_peak_bytes,
+            rep.mesh,
         );
+    }
+}
 
-        // The acceptance relations, asserted directly and not only through
-        // the checker's own verdict.
-        assert!(
-            profile.critical_path <= rep.stats.finish_cycle,
-            "{}: critical path {} exceeds observed makespan {}",
-            manifest.name,
-            profile.critical_path,
-            rep.stats.finish_cycle
+#[test]
+fn static_bounds_dominate_the_observed_decompression_run() {
+    let data = wavy(32 * 128);
+    let c = Codec::new(CereszConfig::new(ErrorBound::Rel(1e-3)))
+        .compress(&data)
+        .unwrap();
+    let options = SimOptions::default().with_flight_window(1024);
+    let pipe = |rows, pipeline_length| StrategyKind::Pipeline {
+        rows,
+        pipeline_length,
+    };
+    for kind in [
+        StrategyKind::RowParallel { rows: 1 },
+        StrategyKind::RowParallel { rows: 4 },
+        pipe(1, 4),
+        pipe(2, 3),
+    ] {
+        let manifest = decompression_manifest(kind, &c).unwrap();
+        let profile = analyze_mapping(&manifest);
+        let mut report = execute_decompress(kind, &c, &options).unwrap().report;
+        let flight = report.take_flight().expect("flight-recorded run");
+        let (rows, cols) = kind.mesh_shape();
+        let peaks = mem_peaks(&report, rows, cols);
+        assert_sound(
+            &manifest.name,
+            &profile,
+            report.stats(),
+            &flight,
+            &peaks,
+            (rows, cols),
         );
-        for (&(from, to), observed) in rep.flight.links() {
-            let load = profile
-                .links
-                .get(&(from, to))
-                .unwrap_or_else(|| panic!("{}: {from}->{to} untracked", manifest.name));
-            assert!(
-                load.wavelets >= observed.wavelets,
-                "{}: link {from}->{to} static {} < observed {}",
-                manifest.name,
-                load.wavelets,
-                observed.wavelets
-            );
-            assert!(
-                load.occupancy_bound() >= observed.occupancy.total(),
-                "{}: link {from}->{to} occupancy bound too low",
-                manifest.name
-            );
-        }
-        let (rows, cols) = rep.mesh;
-        for row in 0..rows {
-            for col in 0..cols {
-                let pe = ceresz::sim::PeId::new(row, col);
-                let peak = rep.mem_peak_bytes[row * cols + col];
-                assert!(
-                    profile.sram_bound(pe) >= peak,
-                    "{}: {pe} static watermark {} < observed peak {peak}",
-                    manifest.name,
-                    profile.sram_bound(pe)
-                );
-                // A PE that computes holds its stage group's working set:
-                // declared statically and reserved at run time.
-                if !rep.flight.pe(pe).metric_total(Metric::Busy).is_zero() {
-                    assert!(
-                        profile.sram_bound(pe) > 0 && peak > 0,
-                        "{}: busy {pe} declares {} B and reserves {peak} B of SRAM",
-                        manifest.name,
-                        profile.sram_bound(pe)
-                    );
-                }
-            }
-        }
     }
 }

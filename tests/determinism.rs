@@ -7,7 +7,8 @@
 
 use ceresz::core::{CereszConfig, Codec, ErrorBound};
 use ceresz::wse::{
-    execute, execute_strategy, EngineMode, SimOptions, Strategy, StrategyKind, StrategyRun, Time,
+    execute, execute_decompress, execute_strategy, EngineMode, SimOptions, Strategy, StrategyKind,
+    StrategyRun, Time,
 };
 
 fn wavy(n: usize) -> Vec<f32> {
@@ -352,6 +353,47 @@ fn sparse_zero_heavy_workload_is_engine_and_thread_invariant() {
                 "sparse flight recording diverged: {engine:?} at {threads} threads"
             );
             assert_eq!(run.compressed.data, reference.compressed.data);
+        }
+    }
+}
+
+/// Simulated decompression keeps the same contract: at exactly 1, 2 and 8
+/// threads and under both engines, the restored values, the `RunReport`
+/// and the flight recording equal the serial event-driven run's, on a
+/// stream mixing zero and dense blocks.
+#[test]
+fn decompression_is_engine_and_thread_invariant() {
+    let mut data = sparse(48);
+    data.extend(wavy(32 * 24));
+    let c = Codec::new(CereszConfig::new(ErrorBound::Rel(1e-3)))
+        .compress(&data)
+        .unwrap();
+    let recorded = SimOptions::default().with_flight_window(256);
+    for kind in [
+        StrategyKind::RowParallel { rows: 4 },
+        StrategyKind::Pipeline {
+            rows: 3,
+            pipeline_length: 3,
+        },
+    ] {
+        let reference = execute_decompress(kind, &c, &recorded).unwrap();
+        assert!(!reference.report.flight().unwrap().stage_totals().is_empty());
+        for engine in [EngineMode::EventDriven, EngineMode::CycleStepped] {
+            for threads in [1usize, 2, 8] {
+                let options = recorded
+                    .clone()
+                    .with_threads_exact(threads)
+                    .with_engine(engine);
+                let run = execute_decompress(kind, &c, &options).unwrap();
+                let what = format!("{kind:?}: {engine:?} at {threads} threads");
+                assert_eq!(run.restored, reference.restored, "{what}");
+                assert_eq!(run.report, reference.report, "{what}");
+                assert_eq!(
+                    run.report.flight().unwrap(),
+                    reference.report.flight().unwrap(),
+                    "{what}: flight recording"
+                );
+            }
         }
     }
 }

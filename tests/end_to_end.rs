@@ -3,8 +3,7 @@
 
 use ceresz::core::{verify_error_bound, CereszConfig, Codec, ErrorBound, Parallelism};
 use ceresz::data::{generate_field, DatasetId, ALL_DATASETS};
-use ceresz::wse::decompress_map::run_pipeline_decompress;
-use ceresz::wse::{execute, SimOptions, StrategyKind};
+use ceresz::wse::{execute, execute_decompress, SimOptions, StrategyKind};
 
 /// A small prefix of each dataset keeps the event simulator fast while still
 /// exercising real data distributions.
@@ -55,7 +54,8 @@ fn simulated_decompression_matches_host_on_all_datasets() {
         let host = Codec::decompressor(Parallelism::Serial)
             .decompress(&c.data)
             .unwrap();
-        let sim = run_pipeline_decompress(&c, 3, 1).unwrap();
+        let rows = StrategyKind::RowParallel { rows: 3 };
+        let sim = execute_decompress(rows, &c, &SimOptions::default()).unwrap();
         assert_eq!(sim.restored, host, "{ds:?}");
     }
 }
@@ -72,7 +72,7 @@ fn decompression_beats_compression_in_cycles() {
         &SimOptions::default(),
     )
     .unwrap();
-    let decomp = run_pipeline_decompress(&comp.compressed, 2, 1).unwrap();
+    let decomp = execute_decompress(comp.kind, &comp.compressed, &SimOptions::default()).unwrap();
     assert!(
         decomp.stats.finish_cycle < comp.stats.finish_cycle,
         "decompression {} !< compression {}",
