@@ -20,10 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use ceresz_core::{CereszConfig, ErrorBound};
-use ceresz_wse::{execute, SimOptions, StrategyKind};
+use ceresz_core::{CereszConfig, Codec, ErrorBound};
+use ceresz_wse::{execute, execute_decompress, SimOptions, StrategyKind};
 use datasets::{generate_field, DatasetId};
 use telemetry::json::JsonValue;
+use wse_sim::RunReport;
 
 /// Artifact tag identifying a baseline document.
 pub const BASELINE_ARTIFACT: &str = "ceresz-perf-baseline";
@@ -104,7 +105,8 @@ pub fn gate_data(block_size: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Run the scenario suite and collect its cycle-exact metrics. Flight
+/// Run the scenario suite — every compression strategy, then the
+/// decompression scenario — and collect its cycle-exact metrics. Flight
 /// sampling is enabled so the stall-cause breakdown is part of the gated
 /// surface — a routing or backpressure regression shows up even when the
 /// finish cycle happens to hide it.
@@ -112,38 +114,54 @@ pub fn collect() -> Result<Vec<ScenarioMetrics>, String> {
     let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
     let data = gate_data(cfg.block_size);
     let options = SimOptions::default().with_flight_window(1024);
-    gate_scenarios()
+    let mut scenarios = gate_scenarios()
         .into_iter()
         .map(|kind| {
             let run = execute(kind, &data, &cfg, &options).map_err(|e| format!("{kind}: {e}"))?;
-            let stats = &run.stats;
-            let mut metrics = BTreeMap::new();
-            metrics.insert("finish_ticks".to_owned(), stats.finish_cycle.ticks());
-            metrics.insert(
-                "total_busy_ticks".to_owned(),
-                stats.total_busy_cycles.ticks(),
-            );
-            metrics.insert("total_tasks".to_owned(), stats.total_tasks);
-            metrics.insert("total_wavelets".to_owned(), stats.total_wavelets);
-            metrics.insert("active_pes".to_owned(), stats.active_pes as u64);
-            metrics.insert("events_processed".to_owned(), stats.events_processed);
-            metrics.insert(
-                "compressed_bytes".to_owned(),
-                run.compressed.data.len() as u64,
-            );
-            let flight = run.report.flight().expect("sampling was enabled");
-            for (cause, time) in flight.stall_totals() {
-                if cause != "compute" {
-                    // busy is already gated as total_busy_ticks.
-                    metrics.insert(format!("stall_{cause}_ticks"), time.ticks());
-                }
-            }
-            Ok(ScenarioMetrics {
-                name: kind.to_string(),
-                metrics,
-            })
+            let bytes = ("compressed_bytes", run.compressed.data.len());
+            Ok(run_metrics(kind.to_string(), &run.report, bytes))
         })
-        .collect()
+        .collect::<Result<Vec<_>, String>>()?;
+    // The same input, host-compressed at block size 32 and decompressed on
+    // two rows of three-PE pipelines, so the padded inter-PE frames are gated.
+    let kind = StrategyKind::Pipeline {
+        rows: 2,
+        pipeline_length: 3,
+    };
+    let compressed = Codec::new(cfg).compress(&data).map_err(|e| e.to_string())?;
+    let run = execute_decompress(kind, &compressed, &options)
+        .map_err(|e| format!("decompress {kind}: {e}"))?;
+    let bytes = ("restored_bytes", run.restored.len() * 4);
+    scenarios.push(run_metrics(
+        format!("decompress {kind}"),
+        &run.report,
+        bytes,
+    ));
+    Ok(scenarios)
+}
+
+/// The gated metrics of one flight-recorded run, plus its output size.
+fn run_metrics(name: String, report: &RunReport, (key, bytes): (&str, usize)) -> ScenarioMetrics {
+    let stats = report.stats();
+    let mut metrics = BTreeMap::new();
+    metrics.insert("finish_ticks".to_owned(), stats.finish_cycle.ticks());
+    metrics.insert(
+        "total_busy_ticks".to_owned(),
+        stats.total_busy_cycles.ticks(),
+    );
+    metrics.insert("total_tasks".to_owned(), stats.total_tasks);
+    metrics.insert("total_wavelets".to_owned(), stats.total_wavelets);
+    metrics.insert("active_pes".to_owned(), stats.active_pes as u64);
+    metrics.insert("events_processed".to_owned(), stats.events_processed);
+    metrics.insert(key.to_owned(), bytes as u64);
+    let flight = report.flight().expect("sampling was enabled");
+    for (cause, time) in flight.stall_totals() {
+        if cause != "compute" {
+            // busy is already gated as total_busy_ticks.
+            metrics.insert(format!("stall_{cause}_ticks"), time.ticks());
+        }
+    }
+    ScenarioMetrics { name, metrics }
 }
 
 /// Run the static performance analyzer over the gated scenario suite and
@@ -382,7 +400,7 @@ mod tests {
         let a = collect().unwrap();
         let b = collect().unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.len(), gate_scenarios().len());
+        assert_eq!(a.len(), gate_scenarios().len() + 1);
         for s in &a {
             assert!(s.metrics["finish_ticks"] > 0, "{}", s.name);
             assert!(

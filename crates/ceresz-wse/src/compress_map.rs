@@ -36,7 +36,7 @@ use crate::harness::{
     colors, emit_encoded, frame_words, pad_frame, parse_raw_block, raw_block_wavelets,
     split_blocks, tasks,
 };
-use crate::kernels::{BlockMemo, Charger, CompressState, MemoEntry, NullCharger, RecordingCharger};
+use crate::kernels::{Charger, CompressState, MemoEntry, NullCharger, RecordingCharger};
 use crate::mapping::MappedMesh;
 use crate::strategy::MapOutcome;
 
@@ -131,8 +131,9 @@ struct StagePe {
     /// Working-set bytes to reserve on first activation (§4.4).
     working_set: usize,
     reserved: bool,
-    /// Replay cache for repeated identical inputs (sparse zero blocks).
-    memo: BlockMemo,
+    /// The recorded run of this stage group on the canonical zero block,
+    /// shared by every pipeline of the mesh.
+    zero_seed: Arc<MemoEntry>,
 }
 
 impl StagePe {
@@ -162,15 +163,15 @@ impl StagePe {
             self.forward(ctx, words);
             return Ok(());
         }
-        // Replay cache: identical input words mean the identical computation
-        // (the programs are stateless per block), so charge and output are
-        // replayed from the recorded run — bit-identical by construction.
-        if let Some(out) = self.memo.replay(&words, ctx) {
+        // The zero block: identical input words mean the identical
+        // computation (the programs are stateless per block), so charge and
+        // output are replayed from the map-time run — bit-identical by
+        // construction.
+        if let Some(out) = self.zero_seed.replay(&words, ctx) {
             self.forward(ctx, out);
             return Ok(());
         }
         let pe = ctx.pe();
-        let mut rec = RecordingCharger::new(ctx);
         let output = run_group(
             &self.stages,
             &words,
@@ -178,10 +179,9 @@ impl StagePe {
             self.out_color.is_none(),
             &self.codec,
             self.eps,
-            &mut rec,
+            ctx,
         )
         .map_err(|e| kernel_error(pe, e))?;
-        self.memo.store(words, rec, output.clone());
         self.forward(ctx, output);
         Ok(())
     }
@@ -213,14 +213,16 @@ impl PeProgram for StagePe {
 }
 
 /// What every pipeline of one mapping shares: the plan's stage groups,
-/// their working sets, and the zero-block replay chain.
+/// their working sets and buffer labels, and the zero-block replay chain.
 struct PipelineSpec {
     /// Stage group of each pipeline PE, built once and shared by every
     /// pipeline's PE of that group.
     groups: Vec<Arc<[SubStageKind]>>,
     /// Working-set bytes of each pipeline PE.
     working_sets: Vec<usize>,
-    /// Replay-memo entry of each pipeline PE for the canonical all-zero
+    /// Manifest label of each pipeline PE's working set.
+    labels: Vec<Arc<str>>,
+    /// Replay entry of each pipeline PE for the canonical all-zero
     /// block, recorded once at map time against a [`NullCharger`] (the
     /// charge log is charger-agnostic) and shared via `Arc` by every
     /// pipeline of the mesh. Sparse workloads and round padding use this
@@ -254,6 +256,9 @@ impl PipelineSpec {
         Self {
             groups,
             working_sets,
+            labels: (0..len)
+                .map(|g| format!("stage group {g} working set").into())
+                .collect(),
             zero_seeds,
             codec,
             eps,
@@ -335,10 +340,10 @@ impl PipelineSpec {
                 receives_remaining: receives,
                 working_set,
                 reserved: false,
-                memo: BlockMemo::seeded(self.zero_seeds[g].clone()),
+                zero_seed: Arc::clone(&self.zero_seeds[g]),
             };
             let extent = program.in_extent();
-            mesh.declare_buffer(pe, working_set, format!("stage group {g} working set"));
+            mesh.declare_buffer(pe, working_set, Arc::clone(&self.labels[g]));
             mesh.set_program(pe, Box::new(program), &[tasks::RECV]);
             mesh.post_recv(pe, in_color, extent, tasks::RECV, receives);
         }
@@ -412,11 +417,11 @@ pub(crate) fn map_compression(
 
 #[cfg(test)]
 mod tests {
-    use super::{run_group, PipelineSpec};
+    use super::{run_group, PipelineSpec, StagePe};
     use crate::engine::SimOptions;
     use crate::error::WseError;
     use crate::harness::raw_block_wavelets;
-    use crate::kernels::{BlockMemo, ChargeCall, HostCharger, RecordingCharger};
+    use crate::kernels::{ChargeCall, HostCharger, RecordingCharger};
     use crate::mapping::MappedMesh;
     use crate::strategy::{
         execute, execute_strategy, MapOutcome, Strategy, StrategyKind, StrategyRun,
@@ -424,7 +429,6 @@ mod tests {
     use ceresz_core::block::BlockCodec;
     use ceresz_core::plan::{CompressionPlan, StageCostModel};
     use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism};
-    use std::sync::Arc;
     use wse_sim::{CostModel, Direction, SimError};
 
     fn wavy(n: usize) -> Vec<f32> {
@@ -485,11 +489,11 @@ mod tests {
 
     #[test]
     fn memo_replay_reproduces_a_fresh_run_of_every_group() {
-        // The memo has no off switch, so replaying must be exact: for every
-        // stage group of a 7-PE and a 1-PE plan, along both the zero-block
-        // chain (the map-time seed) and a dense block (a stored entry), a
-        // replay charges the same log — stage markers included — for the
-        // same time, and returns the same words as a fresh `run_group`.
+        // Every zero-block task replays the map-time seed instead of running
+        // the kernels, so replaying must be exact: for every stage group of
+        // a 7-PE and a 1-PE plan, along the zero-block chain, a replay
+        // charges the same log — stage markers included — for the same
+        // time, and returns the same words as a fresh `run_group`.
         let data = wavy(32 * 16);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
         let eps = cfg.resolve_eps(&data).unwrap();
@@ -499,37 +503,39 @@ mod tests {
         for len in [7, 1] {
             let plan = CompressionPlan::from_sampled(&data, cfg.bound, cfg.block_size, len, &model);
             let spec = PipelineSpec::new(&plan, codec, eps, 1);
-            for block in [vec![0.0; cfg.block_size], data[..cfg.block_size].to_vec()] {
-                let mut input = raw_block_wavelets(&block);
-                for (g, stages) in spec.groups.iter().enumerate() {
-                    let (head, last) = (g == 0, g + 1 == len);
-                    let mut fresh = HostCharger::new(CostModel::calibrated());
-                    let mut rec = RecordingCharger::new(&mut fresh);
-                    let output = run_group(stages, &input, head, last, &codec, eps, &mut rec);
-                    let log = rec.into_log();
-                    let output = output.unwrap();
+            let mut input = raw_block_wavelets(&vec![0.0; cfg.block_size]);
+            for (g, stages) in spec.groups.iter().enumerate() {
+                let (head, last) = (g == 0, g + 1 == len);
+                let mut fresh = HostCharger::new(CostModel::calibrated());
+                let mut rec = RecordingCharger::new(&mut fresh);
+                let output = run_group(stages, &input, head, last, &codec, eps, &mut rec);
+                let log = rec.into_log();
+                let output = output.unwrap();
 
-                    let mut memo = BlockMemo::seeded(Arc::clone(&spec.zero_seeds[g]));
-                    let mut host = HostCharger::new(CostModel::calibrated());
-                    let mut rec = RecordingCharger::new(&mut host);
-                    let stored = run_group(stages, &input, head, last, &codec, eps, &mut rec);
-                    memo.store(input.clone(), rec, stored.unwrap());
-                    let mut replayed = HostCharger::new(CostModel::calibrated());
-                    let mut rec = RecordingCharger::new(&mut replayed);
-                    let words = memo.replay(&input, &mut rec).expect("memoized input");
-                    let what = format!("len {len}, group {g}, zero {}", block[0] == 0.0);
-                    assert_eq!(rec.into_log(), log, "{what}: charge log");
-                    assert_eq!(replayed.time, fresh.time, "{what}: charged time");
-                    assert_eq!(words, output, "{what}: output words");
-                    markers += log
-                        .iter()
-                        .filter(|c| matches!(c, ChargeCall::Stage(_)))
-                        .count();
-                    input = output;
-                }
+                let mut replayed = HostCharger::new(CostModel::calibrated());
+                let mut rec = RecordingCharger::new(&mut replayed);
+                let words = spec.zero_seeds[g]
+                    .replay(&input, &mut rec)
+                    .expect("the zero chain replays");
+                let what = format!("len {len}, group {g}");
+                assert_eq!(rec.into_log(), log, "{what}: charge log");
+                assert_eq!(replayed.time, fresh.time, "{what}: charged time");
+                assert_eq!(words, output, "{what}: output words");
+                markers += log
+                    .iter()
+                    .filter(|c| matches!(c, ChargeCall::Stage(_)))
+                    .count();
+                input = output;
             }
         }
         assert!(markers > 0, "no stage markers were compared");
+    }
+
+    #[test]
+    fn stage_pe_stays_small() {
+        // One `StagePe` per PE of the 745 500-PE wafer: the zero-block seed
+        // is shared by `Arc`, so a program holds no per-PE replay state.
+        assert!(std::mem::size_of::<StagePe>() <= 96);
     }
 
     #[test]
@@ -687,12 +693,8 @@ mod tests {
                 .find(|r| r.rule.input == Some(Direction::West))
                 .cloned()
                 .expect("a stage stream enters from the west");
-            mesh.route(
-                first.pe,
-                first.color,
-                Some(Direction::North),
-                &first.rule.outputs,
-            );
+            let outputs: Vec<Direction> = first.rule.outputs.iter().collect();
+            mesh.route(first.pe, first.color, Some(Direction::North), &outputs);
             Ok(outcome)
         }
     }

@@ -12,6 +12,7 @@
 //! decompression (strategy 1).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ceresz_core::block::BlockCodec;
 use ceresz_core::compressor::{CompressError, Compressed};
@@ -73,7 +74,8 @@ impl DecompressRun {
 /// §4.2 last paragraph: the reverse Bit-shuffle splits per byte/plane, the
 /// prefix sum and dequantization multiply are indivisible).
 struct DecompPipePe {
-    stages: Vec<SubStageKind>,
+    /// Sub-stages this PE executes, shared by every PE of its stage group.
+    stages: Arc<[SubStageKind]>,
     in_color: Color,
     /// Extent of the receive that starts each block.
     in_extent: usize,
@@ -95,7 +97,7 @@ impl DecompPipePe {
         ctx: &mut TaskCtx<'_>,
         mut state: DecompressState,
     ) -> Result<(), SimError> {
-        for &stage in &self.stages {
+        for &stage in self.stages.iter() {
             if state.can_apply(stage) {
                 state = state
                     .apply(stage, self.eps, ctx)
@@ -283,6 +285,13 @@ fn map_decompression(
     let kinds: Vec<SubStageKind> = stages.iter().map(|s| s.kind).collect();
     let cycles: Vec<f64> = stages.iter().map(|s| s.cycles).collect();
     let groups = distribute_stages(&cycles, len);
+    // Built once per stage group and shared by every row's PE of that group.
+    let group_stages: Vec<Arc<[SubStageKind]>> = (0..len)
+        .map(|g| groups.group(g).map(|i| kinds[i]).collect())
+        .collect();
+    let labels: Vec<Arc<str>> = (0..len)
+        .map(|g| format!("stage group {g} working set").into())
+        .collect();
     let frame = decomp_frame_words(header.block_size);
 
     let mut mesh = MappedMesh::new(
@@ -317,7 +326,7 @@ fn map_decompression(
             // The largest frame the PE holds plus the block it emits.
             let working_set = 4 * (held + out_color.map_or(header.block_size, |_| frame));
             let program = DecompPipePe {
-                stages: groups.group(g).map(|i| kinds[i]).collect(),
+                stages: Arc::clone(&group_stages[g]),
                 in_color,
                 in_extent,
                 out_color,
@@ -329,7 +338,7 @@ fn map_decompression(
                 working_set,
                 reserved: false,
             };
-            mesh.declare_buffer(pe, working_set, format!("stage group {g} working set"));
+            mesh.declare_buffer(pe, working_set, Arc::clone(&labels[g]));
             // Only a first PE with a non-zero block ever runs the body task.
             let defined = 1 + usize::from(g == 0 && !bodies.is_empty());
             let program = Box::new(program);

@@ -12,8 +12,6 @@
 //! pushed through *all* stages produces bytes **identical** to
 //! `BlockCodec::encode_block` — the property the integration tests pin down.
 
-use std::sync::Arc;
-
 use ceresz_core::block::BlockCodec;
 use ceresz_core::compressor::CompressError;
 use ceresz_core::fixed_length::{
@@ -100,7 +98,7 @@ impl Charger for NullCharger {
     fn charge_op(&mut self, _op: Op, _n: u64) {}
 }
 
-/// One recorded item of a kernel's charge stream (see [`BlockMemo`]).
+/// One recorded item of a kernel's charge stream (see [`MemoEntry`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ChargeCall {
     /// A `begin_stage` marker.
@@ -152,9 +150,9 @@ impl<C: Charger> Charger for RecordingCharger<'_, C> {
 /// transformed), same output words. Replaying an entry is therefore
 /// bit-identical to re-running the kernels, but skips the arithmetic.
 pub(crate) struct MemoEntry {
-    pub(crate) input: Vec<u32>,
+    input: Vec<u32>,
     charges: Vec<ChargeCall>,
-    pub(crate) output: Vec<u32>,
+    output: Vec<u32>,
 }
 
 impl MemoEntry {
@@ -172,58 +170,20 @@ impl MemoEntry {
         }
     }
 
-    /// Replay the recorded charge stream into `charger` — the same trait
-    /// calls, in the same order, as the recorded computation made.
-    fn replay<C: Charger>(&self, charger: &mut C) {
+    /// If `words` is the recorded input, replay the recorded charge stream
+    /// into `charger` — the same trait calls, in the same order, as the
+    /// recorded computation made — and return a copy of the recorded output.
+    pub(crate) fn replay<C: Charger>(&self, words: &[u32], charger: &mut C) -> Option<Vec<u32>> {
+        if self.input != words {
+            return None;
+        }
         for call in &self.charges {
             match *call {
                 ChargeCall::Stage(stage) => charger.begin_stage(stage),
                 ChargeCall::Op(op, n) => charger.charge_op(op, n),
             }
         }
-    }
-}
-
-/// Replay cache of per-block computations for one PE program.
-///
-/// Holds a shared *seed* entry, precomputed at map time for the input the
-/// mapping knows will recur (the canonical all-zero padding block of sparse
-/// workloads — every pipeline sees the same bytes, so one recorded chain
-/// serves the whole mesh), plus one dynamically recorded entry for whatever
-/// this PE computed last.
-pub(crate) struct BlockMemo {
-    seed: Arc<MemoEntry>,
-    dynamic: Option<MemoEntry>,
-}
-
-impl BlockMemo {
-    /// A memo pre-populated with a shared entry.
-    pub(crate) fn seeded(seed: Arc<MemoEntry>) -> Self {
-        Self {
-            seed,
-            dynamic: None,
-        }
-    }
-
-    /// If `words` matches a memoized input, replay the recorded charge
-    /// stream into `charger` and return a clone of the recorded output.
-    pub(crate) fn replay<C: Charger>(&self, words: &[u32], charger: &mut C) -> Option<Vec<u32>> {
-        let entry = std::iter::once(self.seed.as_ref())
-            .chain(self.dynamic.as_ref())
-            .find(|e| e.input == words)?;
-        entry.replay(charger);
-        Some(entry.output.clone())
-    }
-
-    /// Record a computation: input words, the charge log captured by a
-    /// [`RecordingCharger`], and the produced output words.
-    pub(crate) fn store(
-        &mut self,
-        input: Vec<u32>,
-        recorder: RecordingCharger<'_, impl Charger>,
-        output: Vec<u32>,
-    ) {
-        self.dynamic = Some(MemoEntry::record(input, recorder, output));
+        Some(self.output.clone())
     }
 }
 

@@ -8,6 +8,8 @@
 //! the wrapper, the manifest cannot drift from the mapping it describes —
 //! the verifier sees exactly what the simulator will execute.
 
+use std::sync::Arc;
+
 use wse_sim::{
     Color, Direction, MeshConfig, PeId, PeProgram, RouteRule, RunReport, Simulator, TaskId, Time,
 };
@@ -44,14 +46,8 @@ impl MappedMesh {
         outputs: &[Direction],
     ) {
         self.sim.route(pe, color, input, outputs);
-        self.manifest.route(
-            pe,
-            color,
-            RouteRule {
-                input,
-                outputs: outputs.to_vec(),
-            },
-        );
+        self.manifest
+            .route(pe, color, RouteRule::new(input, outputs));
     }
 
     /// Install a PE program and declare the tasks it defines.
@@ -106,7 +102,7 @@ impl MappedMesh {
     }
 
     /// Declare the SRAM working set the program at `pe` will reserve.
-    pub fn declare_buffer(&mut self, pe: PeId, bytes: usize, label: impl Into<String>) {
+    pub fn declare_buffer(&mut self, pe: PeId, bytes: usize, label: impl Into<Arc<str>>) {
         self.manifest.declare_buffer(pe, bytes, label);
     }
 

@@ -62,12 +62,64 @@ impl std::fmt::Display for Color {
 
 /// Routing rule of one color at one PE: where wavelets of that color are
 /// accepted from and where they are forwarded to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRule {
     /// Accepted input direction (`None` = originates at this PE's RAMP).
     pub input: Option<Direction>,
     /// Output direction(s). `Ramp` in the set means "deliver to processor".
-    pub outputs: Vec<Direction>,
+    pub outputs: OutputSet,
+}
+
+impl RouteRule {
+    /// A rule accepting from `input` and forwarding to every direction in
+    /// `outputs` (duplicates collapse).
+    #[must_use]
+    pub const fn new(input: Option<Direction>, outputs: &[Direction]) -> Self {
+        Self {
+            input,
+            outputs: OutputSet::new(outputs),
+        }
+    }
+}
+
+/// The output directions of a [`RouteRule`], one bit per
+/// [`Direction::index`] — the same mask the packed fabric table stores, so
+/// a rule is `Copy` and installing one never allocates. Iterates, and
+/// prints as a list, in N/S/E/W/Ramp order.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct OutputSet(u8);
+
+impl OutputSet {
+    /// The set of `dirs`.
+    #[must_use]
+    pub const fn new(dirs: &[Direction]) -> Self {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < dirs.len() {
+            bits |= 1 << dirs[i].index();
+            i += 1;
+        }
+        Self(bits)
+    }
+
+    /// Whether `dir` is in the set.
+    #[must_use]
+    pub const fn contains(self, dir: Direction) -> bool {
+        self.0 & (1 << dir.index()) != 0
+    }
+
+    /// The directions in N/S/E/W/Ramp order.
+    pub fn iter(self) -> impl Iterator<Item = Direction> {
+        (0..=Direction::Ramp.index())
+            .filter(move |&i| self.0 & (1 << i) != 0)
+            .map(Direction::from_index)
+    }
+}
+
+impl std::fmt::Debug for OutputSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One hop along a resolved color path.
@@ -103,17 +155,14 @@ pub(crate) struct PackedRule(u16);
 impl PackedRule {
     const PRESENT: u16 = 1 << 15;
     const NON_RAMP_MASK: u16 = 0b0_1111;
+    const OUTPUT_MASK: u16 = 0b1_1111;
 
-    fn pack(rule: &RouteRule) -> Self {
-        let mut bits = Self::PRESENT;
-        for &dir in &rule.outputs {
-            bits |= 1 << dir.index();
-        }
+    fn pack(rule: RouteRule) -> Self {
         let input_code = match rule.input {
             None => 0,
             Some(dir) => 1 + dir.index() as u16,
         };
-        Self(bits | (input_code << 5))
+        Self(Self::PRESENT | u16::from(rule.outputs.0) | (input_code << 5))
     }
 
     pub(crate) fn present(self) -> bool {
@@ -128,20 +177,16 @@ impl PackedRule {
         }
     }
 
-    /// Whether `dir` is in the output set.
-    pub(crate) fn has_output(self, dir: Direction) -> bool {
-        self.0 & (1 << dir.index()) != 0
+    /// The output set.
+    pub(crate) fn outputs(self) -> OutputSet {
+        OutputSet((self.0 & Self::OUTPUT_MASK) as u8)
     }
 
-    /// Reconstruct the declarative rule, outputs in N/S/E/W/Ramp order.
+    /// Reconstruct the declarative rule.
     fn unpack(self) -> RouteRule {
-        let outputs = (0..=Direction::Ramp.index())
-            .filter(|&i| self.0 & (1 << i) != 0)
-            .map(Direction::from_index)
-            .collect();
         RouteRule {
             input: self.input(),
-            outputs,
+            outputs: self.outputs(),
         }
     }
 }
@@ -195,11 +240,10 @@ impl Fabric {
             self.cols
         );
         let slot = self.rule_slot(pe, color);
-        self.rules[slot] = PackedRule::pack(&rule);
+        self.rules[slot] = PackedRule::pack(rule);
     }
 
-    /// Look up a rule, reconstructed from the packed table (outputs in
-    /// N/S/E/W/Ramp order).
+    /// Look up a rule, reconstructed from the packed table.
     #[must_use]
     pub fn rule(&self, pe: PeId, color: Color) -> Option<RouteRule> {
         if !self.on_mesh(pe) {
@@ -255,7 +299,7 @@ impl Fabric {
             if rule.input() != arrived_from {
                 return Err(SimError::RouteMismatch { pe: cur, color });
             }
-            if rule.has_output(Direction::Ramp) {
+            if rule.outputs().contains(Direction::Ramp) {
                 return Ok(ResolvedPath { hops, dest: cur });
             }
             let non_ramp = rule.0 & PackedRule::NON_RAMP_MASK;
@@ -333,28 +377,19 @@ impl Fabric {
         self.set_rule(
             PeId::new(row, start_col),
             color,
-            RouteRule {
-                input: None,
-                outputs: vec![Direction::East],
-            },
+            RouteRule::new(None, &[Direction::East]),
         );
         for col in start_col + 1..end_col {
             self.set_rule(
                 PeId::new(row, col),
                 color,
-                RouteRule {
-                    input: Some(Direction::West),
-                    outputs: vec![Direction::East],
-                },
+                RouteRule::new(Some(Direction::West), &[Direction::East]),
             );
         }
         self.set_rule(
             PeId::new(row, end_col),
             color,
-            RouteRule {
-                input: Some(Direction::West),
-                outputs: vec![Direction::Ramp],
-            },
+            RouteRule::new(Some(Direction::West), &[Direction::Ramp]),
         );
     }
 }
@@ -364,17 +399,43 @@ mod tests {
     use super::*;
 
     fn east_rule(input: Option<Direction>) -> RouteRule {
-        RouteRule {
-            input,
-            outputs: vec![Direction::East],
-        }
+        RouteRule::new(input, &[Direction::East])
     }
 
     fn ramp_rule(input: Option<Direction>) -> RouteRule {
-        RouteRule {
-            input,
-            outputs: vec![Direction::Ramp],
+        RouteRule::new(input, &[Direction::Ramp])
+    }
+
+    #[test]
+    fn every_rule_round_trips_through_the_packed_table() {
+        // All 32 output sets (empty, single, multicast, with and without the
+        // RAMP) under all six inputs come back exactly, and print their
+        // outputs as a list in N/S/E/W/Ramp order.
+        let mut f = Fabric::new(1, 1);
+        let (pe, c) = (PeId::new(0, 0), Color::new(9));
+        let inputs = [None]
+            .into_iter()
+            .chain((0..5).map(|i| Some(Direction::from_index(i))));
+        for input in inputs {
+            for mask in 0..32usize {
+                let dirs: Vec<Direction> = (0..5)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(Direction::from_index)
+                    .collect();
+                let rule = RouteRule::new(input, &dirs);
+                assert_eq!(rule.outputs.iter().collect::<Vec<_>>(), dirs);
+                f.set_rule(pe, c, rule);
+                assert_eq!(f.rule(pe, c), Some(rule), "{rule:?}");
+                let debug = format!("RouteRule {{ input: {input:?}, outputs: {dirs:?} }}");
+                assert_eq!(format!("{rule:?}"), debug);
+            }
         }
+        let multicast = RouteRule::new(None, &[Direction::Ramp, Direction::East, Direction::East]);
+        assert_eq!(
+            multicast,
+            RouteRule::new(None, &[Direction::East, Direction::Ramp])
+        );
+        assert_eq!(RouteRule::new(None, &[]).outputs, OutputSet::default());
     }
 
     #[test]
@@ -439,10 +500,7 @@ mod tests {
         f.set_rule(
             PeId::new(0, 1),
             c,
-            RouteRule {
-                input: Some(Direction::West),
-                outputs: vec![Direction::West],
-            },
+            RouteRule::new(Some(Direction::West), &[Direction::West]),
         );
         // PE 0 expects input None but arrives from East → mismatch is also
         // acceptable; either way resolution must fail, not hang.
@@ -496,10 +554,7 @@ mod tests {
         f.set_rule(
             PeId::new(0, 1),
             c,
-            RouteRule {
-                input: Some(Direction::West),
-                outputs: vec![Direction::West],
-            },
+            RouteRule::new(Some(Direction::West), &[Direction::West]),
         );
         assert!(matches!(
             f.resolve_path(PeId::new(0, 0), c, None),
@@ -514,10 +569,7 @@ mod tests {
         // surface as RoutingLoop rather than iterating forever.
         let mut f = Fabric::new(2, 2);
         let c = Color::new(5);
-        let rule = |input: Direction, out: Direction| RouteRule {
-            input: Some(input),
-            outputs: vec![out],
-        };
+        let rule = |input: Direction, out: Direction| RouteRule::new(Some(input), &[out]);
         f.set_rule(PeId::new(0, 0), c, rule(Direction::South, Direction::East));
         f.set_rule(PeId::new(0, 1), c, rule(Direction::West, Direction::South));
         f.set_rule(PeId::new(1, 1), c, rule(Direction::North, Direction::West));
@@ -533,14 +585,7 @@ mod tests {
     fn rule_with_no_outputs_is_typed_error() {
         let mut f = Fabric::new(1, 1);
         let c = Color::new(6);
-        f.set_rule(
-            PeId::new(0, 0),
-            c,
-            RouteRule {
-                input: None,
-                outputs: vec![],
-            },
-        );
+        f.set_rule(PeId::new(0, 0), c, RouteRule::new(None, &[]));
         assert!(matches!(
             f.resolve_path(PeId::new(0, 0), c, None),
             Err(SimError::NoRoute { .. })

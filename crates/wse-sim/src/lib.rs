@@ -99,7 +99,7 @@ pub mod trace;
 
 pub use cost::{CostModel, Op};
 pub use error::{BlockedPe, BlockedRecv, SimError};
-pub use fabric::{Color, RouteRule, MAX_COLORS};
+pub use fabric::{Color, OutputSet, RouteRule, MAX_COLORS};
 pub use flight::{FlightConfig, FlightRecording, LinkFlight, Metric, PeFlight, Series, StallCause};
 pub use geom::{Direction, PeId};
 pub use memory::MemoryTracker;

@@ -780,8 +780,10 @@ pub(crate) fn partition_rows(fabric: &Fabric, rows: usize) -> Vec<Vec<usize>> {
         if pe.row >= rows {
             continue;
         }
-        let north = rule.input() == Some(Direction::North) || rule.has_output(Direction::North);
-        let south = rule.input() == Some(Direction::South) || rule.has_output(Direction::South);
+        let north =
+            rule.input() == Some(Direction::North) || rule.outputs().contains(Direction::North);
+        let south =
+            rule.input() == Some(Direction::South) || rule.outputs().contains(Direction::South);
         if north && pe.row > 0 {
             union(&mut parent, pe.row, pe.row - 1);
         }
@@ -805,14 +807,7 @@ mod tests {
     fn fabric_with(rows: usize, rules: &[(PeId, &[Direction])]) -> Fabric {
         let mut f = Fabric::new(rows, 4);
         for (pe, outs) in rules {
-            f.set_rule(
-                *pe,
-                Color::new(0),
-                RouteRule {
-                    input: None,
-                    outputs: outs.to_vec(),
-                },
-            );
+            f.set_rule(*pe, Color::new(0), RouteRule::new(None, outs));
         }
         f
     }
@@ -844,10 +839,7 @@ mod tests {
         f.set_rule(
             PeId::new(2, 1),
             Color::new(3),
-            RouteRule {
-                input: Some(Direction::North),
-                outputs: vec![Direction::Ramp],
-            },
+            RouteRule::new(Some(Direction::North), &[Direction::Ramp]),
         );
         assert_eq!(partition_rows(&f, 3), vec![vec![0], vec![1, 2]]);
     }

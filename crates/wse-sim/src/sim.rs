@@ -287,14 +287,8 @@ impl Simulator {
         input: Option<Direction>,
         outputs: &[Direction],
     ) {
-        self.fabric.set_rule(
-            pe,
-            color,
-            RouteRule {
-                input,
-                outputs: outputs.to_vec(),
-            },
-        );
+        self.fabric
+            .set_rule(pe, color, RouteRule::new(input, outputs));
     }
 
     /// Install an eastward chain of `color` along `row` from `start_col` to

@@ -733,10 +733,7 @@ mod tests {
     use wse_sim::{Direction, RouteRule, TaskId};
 
     fn rule(input: Option<Direction>, outputs: &[Direction]) -> RouteRule {
-        RouteRule {
-            input,
-            outputs: outputs.to_vec(),
-        }
+        RouteRule::new(input, outputs)
     }
 
     const C0: Color = Color::new(0);

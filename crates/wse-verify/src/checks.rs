@@ -216,12 +216,13 @@ impl Packed {
     fn new(rule: &RouteRule) -> Self {
         let code = |d: Direction| u8::try_from(d.index()).expect("5 directions");
         let input = rule.input.map_or(0, |d| 1 + code(d));
-        let output = if rule.outputs.contains(&Direction::Ramp) {
+        let output = if rule.outputs.contains(Direction::Ramp) {
             OUT_RAMP
         } else {
-            match rule.outputs.as_slice() {
-                [] => OUT_NONE,
-                &[d] => code(d),
+            let mut dirs = rule.outputs.iter();
+            match (dirs.next(), dirs.next()) {
+                (None, _) => OUT_NONE,
+                (Some(d), None) => code(d),
                 _ => OUT_MULTICAST,
             }
         };
@@ -761,7 +762,7 @@ fn check_sram_budget(manifest: &MappingManifest, diags: &mut Vec<Diagnostic>) {
     for group in buffers.chunk_by(|a, b| a.pe == b.pe) {
         let bytes: usize = group.iter().map(|b| b.bytes).sum();
         if bytes > manifest.sram_bytes {
-            let labels: Vec<&str> = group.iter().map(|b| b.label.as_str()).collect();
+            let labels: Vec<&str> = group.iter().map(|b| &*b.label).collect();
             diags.push(
                 Diagnostic::error(
                     CheckKind::SramBudget,

@@ -7,6 +7,8 @@
 //! ([`crate::verify`]) decides routability, channel balance, SRAM fit, and
 //! task liveness from this description alone — no simulation required.
 
+use std::sync::Arc;
+
 use wse_sim::{Color, PeId, RouteRule, TaskId, PE_SRAM_BYTES};
 
 /// One routing-rule installation (`Simulator::route`).
@@ -78,8 +80,9 @@ pub struct BufferDecl {
     pub pe: PeId,
     /// Bytes reserved.
     pub bytes: usize,
-    /// What the buffer holds (for diagnostics).
-    pub label: String,
+    /// What the buffer holds (for diagnostics); mappers share one label
+    /// across every PE of a stage group.
+    pub label: Arc<str>,
 }
 
 /// A task a PE's program defines.
@@ -195,7 +198,7 @@ impl MappingManifest {
     }
 
     /// Declare an SRAM reservation.
-    pub fn declare_buffer(&mut self, pe: PeId, bytes: usize, label: impl Into<String>) {
+    pub fn declare_buffer(&mut self, pe: PeId, bytes: usize, label: impl Into<Arc<str>>) {
         self.buffers.push(BufferDecl {
             pe,
             bytes,

@@ -31,10 +31,7 @@ fn pe(row: usize, col: usize) -> PeId {
 }
 
 fn rule(input: Option<Direction>, outputs: &[Direction]) -> RouteRule {
-    RouteRule {
-        input,
-        outputs: outputs.to_vec(),
-    }
+    RouteRule::new(input, outputs)
 }
 
 #[track_caller]
@@ -335,7 +332,7 @@ fn shipped_manifest_route_defect() {
     let at = m
         .routes
         .iter()
-        .rposition(|r| r.rule.outputs.contains(&Ramp) && r.rule.input.is_some())
+        .rposition(|r| r.rule.outputs.contains(Ramp) && r.rule.input.is_some())
         .expect("the mapping delivers somewhere");
     m.routes.remove(at);
     assert_report(
@@ -356,7 +353,10 @@ fn shipped_manifest_color_defect() {
     m.route(
         first.pe,
         first.color,
-        rule(Some(North), &first.rule.outputs),
+        RouteRule {
+            input: Some(North),
+            ..first.rule
+        },
     );
     assert_report(
         &m,
