@@ -27,6 +27,7 @@ use crate::compress_map::map_compression;
 use crate::engine::SimOptions;
 use crate::error::WseError;
 use crate::harness::{assemble_blocks, parse_emitted};
+use crate::layout::Layout;
 use crate::mapping::{run_verified, MappedMesh};
 
 /// Which of the paper's three parallelization strategies to execute.
@@ -73,18 +74,11 @@ impl StrategyKind {
     /// `assert!` or a capacity overflow inside the simulator.
     pub fn validate(&self) -> Result<(), WseError> {
         let invalid = |reason: String| Err(WseError::InvalidStrategy { reason });
-        let (rows, len, pipes) = match *self {
-            StrategyKind::RowParallel { rows } => (rows, 1, 1),
-            StrategyKind::Pipeline {
-                rows,
-                pipeline_length,
-            } => (rows, pipeline_length, 1),
-            StrategyKind::MultiPipeline {
-                rows,
-                pipeline_length,
-                pipelines_per_row,
-            } => (rows, pipeline_length, pipelines_per_row),
-        };
+        let Layout {
+            rows,
+            len,
+            pipelines: pipes,
+        } = self.layout();
         if rows == 0 {
             return invalid("rows must be positive".into());
         }
@@ -117,17 +111,29 @@ impl StrategyKind {
     /// trait in scope.
     #[must_use]
     pub fn mesh_shape(&self) -> (usize, usize) {
-        match *self {
-            StrategyKind::RowParallel { rows } => (rows, 1),
+        let layout = self.layout();
+        (layout.rows, layout.len * layout.pipelines)
+    }
+
+    /// The pipeline layout: `P` pipelines of `len` PEs on each of `rows`
+    /// PE rows (row-parallel and pipeline are its `P = 1` cases).
+    pub(crate) fn layout(&self) -> Layout {
+        let (rows, len, pipelines) = match *self {
+            StrategyKind::RowParallel { rows } => (rows, 1, 1),
             StrategyKind::Pipeline {
                 rows,
                 pipeline_length,
-            } => (rows, pipeline_length),
+            } => (rows, pipeline_length, 1),
             StrategyKind::MultiPipeline {
                 rows,
                 pipeline_length,
                 pipelines_per_row,
-            } => (rows, pipeline_length * pipelines_per_row),
+            } => (rows, pipeline_length, pipelines_per_row),
+        };
+        Layout {
+            rows,
+            len,
+            pipelines,
         }
     }
 }
@@ -250,43 +256,26 @@ impl Strategy for StrategyKind {
         let eps = cfg.resolve_eps(data)?;
         ceresz_core::precheck_input(data, eps, cfg.block_size)?;
         let model = StageCostModel::calibrated();
-        let sampled =
-            |len| CompressionPlan::from_sampled(data, cfg.bound, cfg.block_size, len, &model);
-        Ok(match *self {
-            StrategyKind::RowParallel { rows } => {
-                // One PE per row runs every stage. Row parallelism samples
-                // no fixed length, so the PE is sized for any block (all 31
-                // planes); that sizing plan is not reported as the run's
-                // plan, so row-parallel profiles carry no model terms.
-                let worst_case = CompressionPlan::for_fixed_length(
-                    BlockCodec::MAX_FIXED_LENGTH,
-                    cfg.block_size,
-                    1,
-                    &model,
-                );
-                MapOutcome {
-                    plan: None,
-                    ..map_compression(mesh, data, cfg, eps, rows, 1, worst_case)
-                }
-            }
-            StrategyKind::Pipeline {
-                rows,
-                pipeline_length,
-            } => map_compression(mesh, data, cfg, eps, rows, 1, sampled(pipeline_length)),
-            StrategyKind::MultiPipeline {
-                rows,
-                pipeline_length,
-                pipelines_per_row,
-            } => map_compression(
-                mesh,
-                data,
-                cfg,
-                eps,
-                rows,
-                pipelines_per_row,
-                sampled(pipeline_length),
-            ),
-        })
+        let layout = self.layout();
+        if let StrategyKind::RowParallel { .. } = self {
+            // One PE per row runs every stage. Row parallelism samples no
+            // fixed length, so the PE is sized for any block (all 31
+            // planes); that sizing plan is not reported as the run's plan,
+            // so row-parallel profiles carry no model terms.
+            let worst_case = CompressionPlan::for_fixed_length(
+                BlockCodec::MAX_FIXED_LENGTH,
+                cfg.block_size,
+                1,
+                &model,
+            );
+            return Ok(MapOutcome {
+                plan: None,
+                ..map_compression(mesh, data, cfg, eps, layout, worst_case)
+            });
+        }
+        let plan =
+            CompressionPlan::from_sampled(data, cfg.bound, cfg.block_size, layout.len, &model);
+        Ok(map_compression(mesh, data, cfg, eps, layout, plan))
     }
 }
 

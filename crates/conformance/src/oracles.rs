@@ -9,9 +9,7 @@
 use baselines::{Codec as BaselineCodec, CompressedBuf};
 use ceresz_core::archive::Archive;
 use ceresz_core::{verify_error_bound, Codec, Compressed, HeaderWidth, Parallelism};
-use ceresz_wse::{
-    execute, execute_decompress, mapping_manifest, SimOptions, StrategyKind, WseError,
-};
+use ceresz_wse::{execute, execute_decompress, mapping_manifest, SimOptions, WseError};
 use wse_sim::SimError;
 
 use crate::generate::Case;
@@ -23,10 +21,10 @@ use crate::rng::Rng;
 /// bit-identical streams on success, the *same* typed
 /// [`CompressError`](ceresz_core::CompressError) on failure. Simulated
 /// decompression of the host stream through each strategy's shape must
-/// restore exactly the host decode's bits, or return `DoesNotFit` for
-/// 1-byte block headers and several pipelines per row. Returns the
-/// host stream (None when the case errored everywhere
-/// in agreement) for the downstream oracles to reuse.
+/// restore exactly the host decode's bits, at any pipelines per row, or
+/// return `DoesNotFit` for 1-byte block headers. Returns the host stream
+/// (None when the case errored everywhere in agreement) for the downstream
+/// oracles to reuse.
 pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
     let cfg = case.config();
     let host = Codec::new(cfg.with_parallelism(Parallelism::Serial)).compress(&case.data);
@@ -83,14 +81,7 @@ pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
     if let Ok(h) = &host {
         let decoded = Codec::decompressor(Parallelism::Serial).decompress(&h.data);
         for strategy in case.strategies {
-            let fits = case.header == HeaderWidth::W4
-                && !matches!(
-                    strategy,
-                    StrategyKind::MultiPipeline {
-                        pipelines_per_row: 2..,
-                        ..
-                    }
-                );
+            let fits = case.header == HeaderWidth::W4;
             match execute_decompress(strategy, h, &SimOptions::default()) {
                 Ok(run) if fits => {
                     if decoded.as_ref().is_ok_and(|d| {
