@@ -91,6 +91,24 @@ pub fn gate_scenarios() -> Vec<StrategyKind> {
     ]
 }
 
+/// The gated decompression scenarios, run on the gate input host-compressed
+/// at block size 32: two rows of three-PE pipelines, whose inter-PE frames
+/// are gated, and two rows of two two-PE pipelines, whose heads also relay.
+#[must_use]
+pub fn decompress_scenarios() -> Vec<StrategyKind> {
+    vec![
+        StrategyKind::Pipeline {
+            rows: 2,
+            pipeline_length: 3,
+        },
+        StrategyKind::MultiPipeline {
+            rows: 2,
+            pipeline_length: 2,
+            pipelines_per_row: 2,
+        },
+    ]
+}
+
 /// The fixed gate input: a seeded synthetic QMCPack field truncated to 256
 /// blocks (identical on every host; see `datasets::generate_field`).
 #[must_use]
@@ -106,7 +124,7 @@ pub fn gate_data(block_size: usize) -> Vec<f32> {
 }
 
 /// Run the scenario suite — every compression strategy, then the
-/// decompression scenario — and collect its cycle-exact metrics. Flight
+/// decompression scenarios — and collect its cycle-exact metrics. Flight
 /// sampling is enabled so the stall-cause breakdown is part of the gated
 /// surface — a routing or backpressure regression shows up even when the
 /// finish cycle happens to hide it.
@@ -122,21 +140,17 @@ pub fn collect() -> Result<Vec<ScenarioMetrics>, String> {
             Ok(run_metrics(kind.to_string(), &run.report, bytes))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    // The same input, host-compressed at block size 32 and decompressed on
-    // two rows of three-PE pipelines, so the padded inter-PE frames are gated.
-    let kind = StrategyKind::Pipeline {
-        rows: 2,
-        pipeline_length: 3,
-    };
     let compressed = Codec::new(cfg).compress(&data).map_err(|e| e.to_string())?;
-    let run = execute_decompress(kind, &compressed, &options)
-        .map_err(|e| format!("decompress {kind}: {e}"))?;
-    let bytes = ("restored_bytes", run.restored.len() * 4);
-    scenarios.push(run_metrics(
-        format!("decompress {kind}"),
-        &run.report,
-        bytes,
-    ));
+    for kind in decompress_scenarios() {
+        let run = execute_decompress(kind, &compressed, &options)
+            .map_err(|e| format!("decompress {kind}: {e}"))?;
+        let bytes = ("restored_bytes", run.restored.len() * 4);
+        scenarios.push(run_metrics(
+            format!("decompress {kind}"),
+            &run.report,
+            bytes,
+        ));
+    }
     Ok(scenarios)
 }
 
@@ -400,7 +414,10 @@ mod tests {
         let a = collect().unwrap();
         let b = collect().unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.len(), gate_scenarios().len() + 1);
+        assert_eq!(
+            a.len(),
+            gate_scenarios().len() + decompress_scenarios().len()
+        );
         for s in &a {
             assert!(s.metrics["finish_ticks"] > 0, "{}", s.name);
             assert!(
