@@ -9,7 +9,7 @@
 //! `ceresz lint --analyze --all-strategies` sweeps all 32 EXPERIMENTS.md
 //! shapes in CI; this test pins a representative subset (every strategy
 //! family, 1-row and multi-row shapes) in the regular suite, and the
-//! decompression mapping's row-parallel and pipelined shapes.
+//! decompression mapping's row-parallel, pipelined and relayed shapes.
 
 use ceresz::core::{CereszConfig, Codec, ErrorBound};
 use ceresz::sim::{FlightRecording, Metric, PeId, SimStats};
@@ -148,11 +148,18 @@ fn static_bounds_dominate_the_observed_decompression_run() {
         rows,
         pipeline_length,
     };
+    let multi = |pipeline_length, pipelines_per_row| StrategyKind::MultiPipeline {
+        rows: 2,
+        pipeline_length,
+        pipelines_per_row,
+    };
     for kind in [
         StrategyKind::RowParallel { rows: 1 },
         StrategyKind::RowParallel { rows: 4 },
         pipe(1, 4),
         pipe(2, 3),
+        multi(1, 4),
+        multi(3, 2),
     ] {
         let manifest = decompression_manifest(kind, &c).unwrap();
         let profile = analyze_mapping(&manifest);

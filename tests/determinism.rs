@@ -375,6 +375,11 @@ fn decompression_is_engine_and_thread_invariant() {
             rows: 3,
             pipeline_length: 3,
         },
+        StrategyKind::MultiPipeline {
+            rows: 3,
+            pipeline_length: 2,
+            pipelines_per_row: 3,
+        },
     ] {
         let reference = execute_decompress(kind, &c, &recorded).unwrap();
         assert!(!reference.report.flight().unwrap().stage_totals().is_empty());
