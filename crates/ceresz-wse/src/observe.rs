@@ -3,13 +3,14 @@
 //! heatmaps, top-K congested PEs and links, and the stall-cause breakdown —
 //! plus the mesh-shaped JSON/CSV export documents.
 
-use ceresz_core::compressor::CereszConfig;
+use ceresz_core::compressor::{CereszConfig, Compressed};
 use telemetry::json::JsonValue;
-use wse_sim::{FlightRecording, Metric, PeId, SimStats, StallCause, Time};
+use wse_sim::{FlightRecording, Metric, PeId, RunReport, SimStats, StallCause, Time};
 
+use crate::decompress_map::execute_decompress;
 use crate::engine::SimOptions;
 use crate::error::WseError;
-use crate::strategy::{execute_strategy, Strategy};
+use crate::strategy::{execute_strategy, Strategy, StrategyKind};
 
 /// A strategy run observed through the flight recorder.
 pub struct ObserveReport {
@@ -39,21 +40,43 @@ pub fn observe(
     cfg: &CereszConfig,
     options: &SimOptions,
 ) -> Result<ObserveReport, WseError> {
-    let (_, _, mut report) = execute_strategy(strategy, data, cfg, &options.recorded())?;
-    let flight = report
-        .take_flight()
-        .expect("sampling was enabled for the observed run");
-    let (rows, cols) = strategy.mesh_shape();
-    Ok(ObserveReport {
-        strategy: strategy.name().to_owned(),
-        mesh: strategy.mesh_shape(),
-        stats: report.stats().clone(),
-        flight,
-        mem_peak_bytes: crate::analyze::mem_peaks(&report, rows, cols),
-    })
+    let (_, _, report) = execute_strategy(strategy, data, cfg, &options.recorded())?;
+    Ok(ObserveReport::new(
+        strategy.name(),
+        strategy.mesh_shape(),
+        report,
+    ))
+}
+
+/// [`observe`] for simulated decompression: run [`execute_decompress`] of
+/// `compressed` on `kind`'s mesh with the flight recorder on.
+pub fn observe_decompression(
+    kind: StrategyKind,
+    compressed: &Compressed,
+    options: &SimOptions,
+) -> Result<ObserveReport, WseError> {
+    let run = execute_decompress(kind, compressed, &options.recorded())?;
+    Ok(ObserveReport::new(
+        kind.name(),
+        kind.mesh_shape(),
+        run.report,
+    ))
 }
 
 impl ObserveReport {
+    fn new(strategy: &str, (rows, cols): (usize, usize), mut report: RunReport) -> Self {
+        let flight = report
+            .take_flight()
+            .expect("sampling was enabled for the observed run");
+        Self {
+            strategy: strategy.to_owned(),
+            mesh: (rows, cols),
+            stats: report.stats().clone(),
+            flight,
+            mem_peak_bytes: crate::analyze::mem_peaks(&report, rows, cols),
+        }
+    }
+
     /// Render the full text report: run summary, stall-cause breakdown,
     /// busy + stall heatmaps, and the top-`k` congested PEs and links.
     /// Heatmaps are downsampled to at most `max_rows × max_cols` cells.

@@ -41,7 +41,9 @@
 //! `lint` statically verifies the constructed mappings — routing soundness,
 //! color discipline, channel balance, SRAM budgets, task liveness — across
 //! the EXPERIMENTS.md strategy × mesh-shape sweep (or one explicit shape),
-//! without simulating a single cycle; it exits nonzero on any error-severity
+//! in both directions: each shape's compression mapping, then its
+//! decompression mapping of the same data, host-compressed. It simulates
+//! not a single cycle and exits nonzero on any error-severity
 //! diagnostic, which is what CI's `lint-mappings` job gates on. With
 //! `--analyze` each mapping additionally runs through the static performance
 //! analyzer — per-link worst-case loads, a critical-path lower bound on the
@@ -816,9 +818,21 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     let mut unsound = 0usize;
     let want_doc = f.json || f.json_out.is_some();
     let mut mapping_docs = Vec::new();
-    for strategy in &strategies {
-        let manifest = ceresz::wse::mapping_manifest(&data, &cfg, *strategy)
-            .map_err(|e| format!("building {strategy:?}: {e}"))?;
+    // Both directions of every shape: the compression mappings, then the
+    // decompression mappings of the same data, host-compressed.
+    let compressed = Codec::new(cfg)
+        .compress(&data)
+        .map_err(|e| format!("compressing the lint data: {e}"))?;
+    let mappings = [false, true]
+        .into_iter()
+        .flat_map(|decompress| strategies.iter().map(move |&s| (decompress, s)));
+    for (decompress, strategy) in mappings {
+        let manifest = if decompress {
+            ceresz::wse::decompression_manifest(strategy, &compressed)
+        } else {
+            ceresz::wse::mapping_manifest(&data, &cfg, strategy)
+        }
+        .map_err(|e| format!("building {strategy:?}: {e}"))?;
         let report = ceresz::wse::verify::verify(&manifest);
         let mut diags = report.diagnostics.clone();
 
@@ -828,8 +842,12 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         if f.analyze {
             let profile = ceresz::wse::analyze_mapping(&manifest);
             diags.extend(profile.diagnostics.iter().cloned());
-            let observed = ceresz::wse::observe(strategy, &data, &cfg, &options)
-                .map_err(|e| format!("simulating {}: {e}", manifest.name))?;
+            let observed = if decompress {
+                ceresz::wse::observe_decompression(strategy, &compressed, &options)
+            } else {
+                ceresz::wse::observe(&strategy, &data, &cfg, &options)
+            }
+            .map_err(|e| format!("simulating {}: {e}", manifest.name))?;
             let soundness = ceresz::wse::check_soundness(
                 &profile,
                 &observed.stats,
@@ -851,7 +869,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         if want_doc {
             mapping_docs.push(lint_mapping_json(
                 &manifest.name,
-                *strategy,
+                strategy,
                 &diags,
                 analysis.as_ref(),
             ));
@@ -925,7 +943,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     } else {
         println!(
             "linted {} mapping(s): {errors} error(s), {warnings} warning(s){}",
-            strategies.len(),
+            2 * strategies.len(),
             if f.analyze {
                 format!(", {unsound} soundness violation(s)")
             } else {

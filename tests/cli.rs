@@ -230,9 +230,10 @@ fn lint_json_sweep_reports_all_mappings() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // One entry per sweep shape, zero errors, and nothing but JSON on stdout.
+    // One entry per sweep shape and direction, zero errors, and nothing but
+    // JSON on stdout.
     assert!(text.trim_start().starts_with('{'), "{text}");
-    assert_eq!(text.matches("\"name\":").count(), 32, "{text}");
+    assert_eq!(text.matches("\"name\":").count(), 2 * 32, "{text}");
     assert!(text.contains("\"errors\": 0"), "{text}");
 }
 
