@@ -307,6 +307,12 @@ struct ResolvedSend<'a> {
     path: &'a [PeId],
 }
 
+/// The declared sends and host injections delivering to one channel.
+type Feeds<'m, 'p> = (
+    Vec<&'p ResolvedSend<'m>>,
+    Vec<&'m crate::manifest::InjectDecl>,
+);
+
 /// Run the static performance analysis over `manifest`, pricing task runs
 /// with `cost` (use the same [`CostModel`] the simulator runs with — the
 /// cross-check in `ceresz lint --analyze` assumes it).
@@ -415,6 +421,17 @@ pub fn analyze(manifest: &MappingManifest, cost: &CostModel) -> StaticProfile {
             e.1.saturating_add(to_u64(r.extent).saturating_mul(to_u64(r.recvs)));
     }
 
+    // Each channel's contributors, gathered once: the fabric streams and
+    // loopbacks delivering to it, and the host injections into it.
+    let mut feeds: BTreeMap<Loc, Feeds<'_, '_>> = BTreeMap::new();
+    for r in &resolved {
+        let dest = *r.path.last().expect("resolved paths are non-empty");
+        feeds.entry(loc(dest, r.send.color)).or_default().0.push(r);
+    }
+    for inj in &manifest.injections {
+        feeds.entry(loc(inj.pe, inj.color)).or_default().1.push(inj);
+    }
+
     let order: Vec<Loc> = if cycle.is_some() {
         nodes.iter().copied().collect()
     } else {
@@ -424,9 +441,7 @@ pub fn analyze(manifest: &MappingManifest, cost: &CostModel) -> StaticProfile {
     let mut full_supplies: Vec<(Loc, Option<u64>)> = Vec::new();
     for k in order {
         let domains = channel_domains(
-            k,
-            &resolved,
-            manifest,
+            feeds.get(&k).unwrap_or(&Feeds::default()),
             overhead,
             cycle.is_some(),
             &first_completion,
@@ -566,12 +581,9 @@ pub fn analyze(manifest: &MappingManifest, cost: &CostModel) -> StaticProfile {
     }
 }
 
-/// Build the serialization domains feeding channel `k`.
-#[allow(clippy::too_many_arguments)]
+/// Build the serialization domains of one channel's contributors.
 fn channel_domains(
-    k: Loc,
-    resolved: &[ResolvedSend<'_>],
-    manifest: &MappingManifest,
+    (sends, injections): &Feeds<'_, '_>,
     overhead: u64,
     cyclic: bool,
     first_completion: &BTreeMap<Loc, u64>,
@@ -608,11 +620,8 @@ fn channel_domains(
     // every injection is its own domain.
     let mut rate: BTreeMap<(PeId, PeId), Domain> = BTreeMap::new();
     let mut out: Vec<Domain> = Vec::new();
-    for r in resolved {
+    for r in sends {
         let dest = *r.path.last().expect("paths are non-empty");
-        if loc(dest, r.send.color) != k {
-            continue;
-        }
         let wavelets = to_u64(r.send.words_per_send).saturating_mul(to_u64(r.send.sends));
         if wavelets == 0 {
             continue;
@@ -648,8 +657,8 @@ fn channel_domains(
             d.wavelets = d.wavelets.saturating_add(wavelets);
         }
     }
-    for inj in &manifest.injections {
-        if loc(inj.pe, inj.color) != k || inj.words == 0 {
+    for inj in injections {
+        if inj.words == 0 {
             continue;
         }
         out.push(Domain {
