@@ -24,9 +24,9 @@ pub mod colors {
     pub const INTER_A: Color = Color::new(1);
     /// Intermediate pipeline state, odd-indexed links.
     pub const INTER_B: Color = Color::new(2);
-    /// Head-to-head raw-block relay, even-indexed links.
+    /// Head-to-head block relay, even-indexed links.
     pub const RELAY_A: Color = Color::new(3);
-    /// Head-to-head raw-block relay, odd-indexed links.
+    /// Head-to-head block relay, odd-indexed links.
     pub const RELAY_B: Color = Color::new(4);
 }
 
