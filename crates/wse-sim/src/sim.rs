@@ -1112,6 +1112,108 @@ mod tests {
         }
     }
 
+    /// Takes the block a completed receive left (if any), charges its
+    /// count of operations and emits the task id.
+    struct Tagged(u64);
+    impl PeProgram for Tagged {
+        fn on_task(&mut self, ctx: &mut TaskCtx<'_>, t: TaskId) -> Result<(), SimError> {
+            if ctx.has_received(C0) {
+                let _ = ctx.take_received(C0);
+            }
+            ctx.charge(Op::I32Add, self.0);
+            ctx.emit(vec![u32::from(t.0)]);
+            Ok(())
+        }
+    }
+
+    /// Run the same one-row scenario in both rows of a flight-recorded 2×3
+    /// unit-cost mesh (two independent groups) under every engine at 1, 2
+    /// and 8 threads. Asserts every run equal — report, recording and
+    /// event count — and returns row 0's task order as `(col, start)` with
+    /// the event count.
+    fn same_tick_runs(setup: fn(&mut Simulator, usize)) -> (Vec<(usize, u64)>, u64) {
+        let run = |engine: EngineMode, threads: usize| {
+            let cfg = MeshConfig::new(2, 3)
+                .with_cost(CostModel::unit())
+                .with_flight_window(4)
+                .with_threads_exact(threads)
+                .with_engine(engine);
+            let mut sim = Simulator::new(cfg);
+            for r in 0..2 {
+                setup(&mut sim, r);
+            }
+            sim.run().unwrap()
+        };
+        let reference = run(EngineMode::EventDriven, 1);
+        for engine in [EngineMode::EventDriven, EngineMode::CycleStepped] {
+            for threads in [1, 2, 8] {
+                let other = run(engine, threads);
+                let what = format!("{engine:?} at {threads} threads");
+                assert_eq!(other, reference, "{what}");
+                assert_eq!(other.flight(), reference.flight(), "{what}");
+                assert_eq!(
+                    other.stats().events_processed,
+                    reference.stats().events_processed,
+                    "{what}"
+                );
+            }
+        }
+        let order = reference
+            .flight()
+            .unwrap()
+            .timeline()
+            .events()
+            .iter()
+            .filter(|e| e.pe.row == 0)
+            .map(|e| (e.pe.col, e.start.ticks() / crate::TICKS_PER_CYCLE))
+            .collect();
+        (order, reference.stats().events_processed)
+    }
+
+    #[test]
+    fn same_tick_deliveries_activate_in_delivery_order() {
+        // Two streams land at cycle 4, column 2's first (lower sequence
+        // number). Its activation must wait behind column 0's delivery, so
+        // column 2's task still runs first; the lone delivery at cycle 14
+        // dispatches its activation at once. Each delivery and each
+        // activation is one event: 6 a row.
+        let (order, events) = same_tick_runs(|sim, r| {
+            for c in 0..3 {
+                sim.set_program(PeId::new(r, c), Box::new(Tagged(1)));
+                sim.post_recv(PeId::new(r, c), C0, 4, T1);
+            }
+            sim.inject_stream(PeId::new(r, 2), C0, vec![1; 4], Time::ZERO);
+            sim.inject_stream(PeId::new(r, 0), C0, vec![2; 4], Time::ZERO);
+            sim.inject_stream(PeId::new(r, 1), C0, vec![3; 4], cyc(10));
+        });
+        assert_eq!(order, [(2, 4), (0, 4), (1, 14)]);
+        assert_eq!(events, 2 * 6);
+    }
+
+    #[test]
+    fn pending_event_at_the_delivery_tick_runs_first() {
+        // Column 0's stream lands at cycle 4, where a host activation of
+        // column 1 is already pending: that activation precedes the one the
+        // delivery readies. Column 2 is busy 2 → 8 when its stream lands at
+        // cycle 5, so the readied activation retries at 8. Events a row:
+        // two host activations, two deliveries, the two activations they
+        // ready and one retry = 7.
+        let (order, events) = same_tick_runs(|sim, r| {
+            let (a, b, c) = (PeId::new(r, 0), PeId::new(r, 1), PeId::new(r, 2));
+            sim.set_program(a, Box::new(Tagged(1)));
+            sim.set_program(b, Box::new(Tagged(1)));
+            sim.set_program(c, Box::new(Tagged(5)));
+            sim.post_recv(a, C0, 4, T1);
+            sim.post_recv(c, C0, 4, T1);
+            sim.inject_stream(a, C0, vec![1; 4], Time::ZERO);
+            sim.activate(b, T0, cyc(4));
+            sim.activate(c, T0, cyc(2));
+            sim.inject_stream(c, C0, vec![2; 4], cyc(1));
+        });
+        assert_eq!(order, [(2, 2), (1, 4), (0, 4), (2, 8)]);
+        assert_eq!(events, 2 * 7);
+    }
+
     #[test]
     fn threads_zero_resolves_to_available_parallelism() {
         let cfg = MeshConfig::new(1, 1)
