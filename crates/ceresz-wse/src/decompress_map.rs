@@ -13,7 +13,6 @@
 //! per distinct extent. Rows are padded with the encoded zero block, a lone
 //! `f = 0` header wavelet.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ceresz_core::block::BlockCodec;
@@ -28,7 +27,7 @@ use wse_sim::{Color, RunReport, SimError, SimStats, TaskCtx};
 use crate::compress_map::kernel_error;
 use crate::engine::SimOptions;
 use crate::error::WseError;
-use crate::harness::tasks;
+use crate::harness::{reuse_for, tasks};
 use crate::kernels::DecompressState;
 use crate::layout::{stage_groups, StageKernel};
 use crate::mapping::{run_verified, MappedMesh};
@@ -144,7 +143,7 @@ impl StageKernel for DecompPipePe {
                 .map_err(|e| kernel_error(pe, e))?;
             return Ok(restored.iter().map(|v| v.to_bits()).collect());
         }
-        let mut frame = state.to_wavelets();
+        let mut frame = state.write_wavelets(reuse_for(block, self.frame));
         debug_assert!(frame.len() <= self.frame, "state overflows its frame");
         frame.resize(self.frame, 0);
         Ok(frame)
@@ -242,25 +241,26 @@ fn map_decompression(
     let (rows, cols) = kind.mesh_shape();
     let name = format!("decompress {kind}");
     let mut mesh = MappedMesh::new(name, options.mesh_config(rows, cols), rows, cols);
+    // The heads' block lengths by round position, tallied once per row.
+    let mut row_lengths = (usize::MAX, Vec::new());
     layout.install(&mut mesh, queues, frame, |mesh, place| {
         let (pe, g) = (place.pe, place.group);
         // A head's relay sends and body receives, counted per extent.
-        let (mut sends, mut bodies) = (BTreeMap::new(), BTreeMap::new());
+        let mut bodies = false;
         if g == 0 {
-            for (block, relayed) in place.arrivals() {
-                if block.len() > 1 {
-                    *bodies.entry(block.len() - 1).or_insert(0) += 1;
-                }
-                if relayed {
-                    *sends.entry(block.len()).or_insert(0) += 1;
+            if row_lengths.0 != pe.row {
+                row_lengths = (pe.row, place.lengths_through());
+            }
+            let (quota, lengths) = (place.relay.quota, &row_lengths.1);
+            if let Some(relayed) = quota.checked_sub(1).map(|j| &lengths[j]) {
+                for (&words, &n) in relayed {
+                    mesh.declare_send(pe, place.relay.out, words, n, None);
                 }
             }
-        }
-        for (&words, &n) in &sends {
-            mesh.declare_send(pe, place.relay.out, words, n, None);
-        }
-        for (&extent, &n) in &bodies {
-            mesh.declare_recv(pe, place.in_color, extent, n, tasks::RECV_BODY);
+            for (&words, &n) in lengths[quota].range(2..) {
+                mesh.declare_recv(pe, place.in_color, words - 1, n, tasks::RECV_BODY);
+                bodies = true;
+            }
         }
         // The largest frame the PE holds plus the block it emits.
         let (extent, held) = match g {
@@ -278,7 +278,7 @@ fn map_decompression(
             pending_f: None,
         };
         // Only a head that receives a non-zero block runs the body task.
-        let defined = &[tasks::RECV, tasks::RECV_BODY][..1 + usize::from(!bodies.is_empty())];
+        let defined = &[tasks::RECV, tasks::RECV_BODY][..1 + usize::from(bodies)];
         place.install(
             mesh,
             kernel,

@@ -15,6 +15,7 @@
 //! hands each PE's [`Place`] to the direction, which installs its
 //! [`StageKernel`] there inside the shared [`PipelinePe`] program.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ceresz_core::plan::{StageGroups, SubStageKind};
@@ -65,14 +66,36 @@ pub(crate) struct Relay {
     pub quota: usize,
     /// Blocks still to arrive: whole rounds of `quota + 1`.
     remaining: usize,
+    /// Blocks of the current round still to go on before the PE's own (it
+    /// fits in the padding after `out`).
+    to_relay: u32,
 }
 
 impl Relay {
+    /// The counter of a PE that receives `rounds` rounds.
+    fn new(out: Color, quota: usize, rounds: usize) -> Self {
+        Self {
+            out,
+            quota,
+            remaining: rounds * (quota + 1),
+            to_relay: Self::round_quota(quota),
+        }
+    }
+
+    fn round_quota(quota: usize) -> u32 {
+        u32::try_from(quota).expect("a row holds fewer than 2^32 pipelines")
+    }
+
     /// Count one arrived block: `true` when it is the PE's own to compute,
     /// `false` when it goes on over [`Relay::out`].
     pub fn claims(&mut self) -> bool {
         self.remaining -= 1;
-        self.remaining.is_multiple_of(self.quota + 1)
+        if self.to_relay > 0 {
+            self.to_relay -= 1;
+            return false;
+        }
+        self.to_relay = Self::round_quota(self.quota);
+        true
     }
 }
 
@@ -140,16 +163,25 @@ pub(crate) struct Place<'a> {
 }
 
 impl<'a> Place<'a> {
-    /// The blocks reaching a head, in arrival order, each flagged `true`
-    /// when the head relays it.
-    pub fn arrivals(&self) -> impl Iterator<Item = (&'a [u32], bool)> {
-        let quota = self.relay.quota;
-        self.queue.chunks(self.pipelines).flat_map(move |round| {
-            round[..=quota]
-                .iter()
-                .enumerate()
-                .map(move |(j, block)| (block.as_slice(), j < quota))
-        })
+    /// Entry `j`: how many of the row's blocks at round positions `0..=j`
+    /// have each length, over every round. The head of quota `q` receives
+    /// positions `0..=q` and relays those before `q`, so entries `q` and
+    /// `q − 1` hold its arrivals and relays. One pass over the queue and
+    /// one over the positions serve every head of the row.
+    pub fn lengths_through(&self) -> Vec<BTreeMap<usize, usize>> {
+        let mut tally = vec![BTreeMap::new(); self.pipelines];
+        for round in self.queue.chunks(self.pipelines) {
+            for (counts, block) in tally.iter_mut().zip(round) {
+                *counts.entry(block.len()).or_insert(0) += 1;
+            }
+        }
+        for j in 1..tally.len() {
+            let (before, from) = tally.split_at_mut(j);
+            for (&len, &n) in &before[j - 1] {
+                *from[0].entry(len).or_insert(0) += n;
+            }
+        }
+        tally
     }
 
     /// Install `kernel` here in a [`PipelinePe`] defining the tasks
@@ -253,11 +285,7 @@ impl Layout {
                         pe: PeId::new(r, head + g),
                         group: g,
                         out_color: (g + 1 < len).then(|| inter_color(g)),
-                        relay: Relay {
-                            out,
-                            quota,
-                            remaining: rounds * (quota + 1),
-                        },
+                        relay: Relay::new(out, quota, rounds),
                         rounds,
                         in_color: match g {
                             0 if k == 0 => colors::DATA,

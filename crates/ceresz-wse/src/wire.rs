@@ -14,6 +14,22 @@ impl WaveletWriter {
         Self::default()
     }
 
+    /// Fresh writer with room for `n` wavelets, for payloads whose size is
+    /// known up front.
+    #[must_use]
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            words: Vec::with_capacity(n),
+        }
+    }
+
+    /// Writer over `words`, cleared: appends into the caller's allocation.
+    #[must_use]
+    pub fn reuse(mut words: Vec<u32>) -> Self {
+        words.clear();
+        Self { words }
+    }
+
     /// Push one raw wavelet.
     pub fn put_u32(&mut self, v: u32) {
         self.words.push(v);
@@ -119,21 +135,49 @@ impl<'a> WaveletReader<'a> {
         Ok(self.get_u32()? as i32)
     }
 
-    /// Read `n` bytes (consumes `ceil(n/4)` wavelets).
+    /// The next `n` raw wavelets as one slice.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u32], WireTruncated> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.words.len())
+            .ok_or(WireTruncated)?;
+        let words = &self.words[self.pos..end];
+        self.pos = end;
+        Ok(words)
+    }
+
+    /// Read `n` bytes (consumes `ceil(n/4)` wavelets). Nothing is allocated
+    /// unless the payload holds them.
     pub fn get_bytes(&mut self, n: usize) -> Result<Vec<u8>, WireTruncated> {
+        let words = self.take(n.div_ceil(4))?;
         let mut out = Vec::with_capacity(n);
-        let words = n.div_ceil(4);
-        for _ in 0..words {
-            out.extend_from_slice(&self.get_u32()?.to_le_bytes());
-        }
-        out.truncate(n);
+        append_bytes(words, n, &mut out);
         Ok(out)
+    }
+
+    /// Append `n` bytes to `out` (consumes `ceil(n/4)` wavelets).
+    pub fn read_bytes_into(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), WireTruncated> {
+        let words = self.take(n.div_ceil(4))?;
+        append_bytes(words, n, out);
+        Ok(())
     }
 
     /// Wavelets remaining.
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.words.len() - self.pos
+    }
+}
+
+/// Append the first `n` bytes packed little-endian in `words`.
+fn append_bytes(words: &[u32], n: usize, out: &mut Vec<u8>) {
+    let (whole, rest) = (n / 4, n % 4);
+    for w in &words[..whole] {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    if rest > 0 {
+        out.extend_from_slice(&words[whole].to_le_bytes()[..rest]);
     }
 }
 
@@ -176,5 +220,10 @@ mod tests {
         let words = [1u32];
         let mut r = WaveletReader::new(&words);
         assert!(r.get_f64().is_err());
+        let mut r = WaveletReader::new(&words);
+        assert_eq!(r.take(2), Err(WireTruncated));
+        assert_eq!(r.take(usize::MAX), Err(WireTruncated));
+        assert_eq!(r.get_bytes(5), Err(WireTruncated));
+        assert_eq!(r.take(1), Ok(&words[..]));
     }
 }
