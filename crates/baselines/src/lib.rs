@@ -6,7 +6,7 @@
 //!
 //! | Baseline | Paper's platform | Algorithm here |
 //! |---|---|---|
-//! | **SZp** | AMD EPYC 7742, OpenMP | Block-wise pre-quantization + 1-D Lorenzo + fixed-length encoding with **1-byte** headers, parallelized with rayon ([`szp`]) |
+//! | **SZp** | AMD EPYC 7742, OpenMP | Block-wise pre-quantization + 1-D Lorenzo + fixed-length encoding with **1-byte** headers, on `ceresz-core`'s canonical loop ([`szp`]) |
 //! | **cuSZp** | NVIDIA A100, fused kernel | Same block algorithm, plus the per-chunk offset directory a GPU needs for random-access decompression ([`cuszp`]) |
 //! | **SZ (SZ3)** | CPU | Error-controlled prediction (1/2/3-D Lorenzo in reconstruction space), quantization bins with outlier escape, zero-run coding, canonical Huffman ([`sz3`]) |
 //! | **cuSZ** | NVIDIA A100 | Multi-dimensional Lorenzo + quantization bins + Huffman, no run coding ([`cusz`]) |

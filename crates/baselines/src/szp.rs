@@ -4,7 +4,7 @@
 //! fixed-length encoding — but stores the per-block fixed length in a single
 //! byte (it has no 32-bit wavelet alignment constraint), which raises the
 //! zero-block ratio ceiling to 128× for 32-element blocks (the ≈127.9 values
-//! in Table 5). OpenMP parallelism maps to rayon here.
+//! in Table 5). It runs `ceresz-core`'s canonical loop with 1-byte headers.
 
 use ceresz_core::{CereszConfig, ErrorBound, HeaderWidth};
 
@@ -51,10 +51,7 @@ impl Codec for Szp {
     }
 
     fn decompress(&self, compressed: &CompressedBuf) -> Result<Vec<f32>, BaselineError> {
-        Ok(
-            ceresz_core::Codec::decompressor(ceresz_core::Parallelism::Rayon)
-                .decompress(&compressed.bytes)?,
-        )
+        Ok(ceresz_core::Codec::decompressor().decompress(&compressed.bytes)?)
     }
 }
 

@@ -31,7 +31,7 @@ fn main() {
     let ceresz = ceresz_core::Codec::new(CereszConfig::new(bound))
         .compress(&field.data)
         .expect("compresses");
-    let ceresz_rec = ceresz_core::Codec::decompressor(ceresz_core::Parallelism::Rayon)
+    let ceresz_rec = ceresz_core::Codec::decompressor()
         .decompress(&ceresz.data)
         .expect("decompresses");
 

@@ -60,7 +60,7 @@ impl ArchiveField {
                 "field recipe disagrees with its stream",
             ));
         }
-        Codec::decompressor(crate::codec::Parallelism::Rayon).decompress(&self.stream)
+        Codec::decompressor().decompress(&self.stream)
     }
 }
 

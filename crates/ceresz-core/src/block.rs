@@ -165,16 +165,16 @@ impl BlockCodec {
         self.encode_deltas_inner(q, signs, mags, out)
     }
 
-    /// Encode one block given its Lorenzo residuals (used by the WSE kernels,
-    /// which produce residuals on an earlier PE of the pipeline).
+    /// Encode one block given its prediction residuals: the fixed-length
+    /// stage of the recipe interpreter, whose predictor (1-D, tiled 2-D, or
+    /// none) ran as an earlier stage.
     pub fn encode_deltas(
         &self,
         deltas: &[i64],
+        scratch: &mut BlockScratch,
         out: &mut Vec<u8>,
     ) -> Result<BlockInfo, CompressError> {
-        let mut signs = Vec::new();
-        let mut mags = Vec::new();
-        self.encode_deltas_inner(deltas, &mut signs, &mut mags, out)
+        self.encode_deltas_inner(deltas, &mut scratch.signs, &mut scratch.mags, out)
     }
 
     fn encode_deltas_inner(
@@ -239,20 +239,32 @@ impl BlockCodec {
         Ok(f)
     }
 
-    /// Decode the quantized integers of one block (before dequantization).
+    /// Decode the quantized integers of one block (before dequantization):
+    /// its residuals, then the 1-D inverse Lorenzo.
     ///
     /// Returns the number of input bytes consumed. `out` must be exactly one
     /// block long and is fully overwritten.
-    pub fn decode_block_quantized(
+    pub fn decode_block_quantized_with(
         &self,
         bytes: &[u8],
+        scratch: &mut BlockScratch,
         out: &mut [i64],
     ) -> Result<usize, CompressError> {
-        self.decode_block_quantized_with(bytes, &mut BlockScratch::default(), out)
+        let used = self.decode_block_deltas(bytes, scratch, out)?;
+        // A zero block (header only) is all zeros, its own inverse.
+        if used > self.header.bytes() {
+            inverse_1d_in_place(out);
+        }
+        Ok(used)
     }
 
-    /// [`Self::decode_block_quantized`] with caller-provided buffers.
-    pub fn decode_block_quantized_with(
+    /// Decode one block's *residuals* exactly as encoded — the counterpart
+    /// of [`Self::encode_deltas`], used when a different predictor (2-D
+    /// tiles, or none at all) produced the residuals.
+    ///
+    /// Returns the number of input bytes consumed. `out` must be exactly one
+    /// block long and is fully overwritten.
+    pub fn decode_block_deltas(
         &self,
         bytes: &[u8],
         scratch: &mut BlockScratch,
@@ -276,39 +288,6 @@ impl BlockCodec {
         scratch.mags.resize(self.block_size, 0);
         bit_unshuffle(planes, f, &mut scratch.mags);
         apply_signs(signs, &scratch.mags, out);
-        inverse_1d_in_place(out);
-        Ok(need)
-    }
-
-    /// Decode one block's *residuals* exactly as encoded — without the 1-D
-    /// inverse Lorenzo that [`Self::decode_block_quantized`] applies. The
-    /// counterpart of [`Self::encode_deltas`], used when a different
-    /// predictor (2-D tiles, or none at all) produced the residuals.
-    ///
-    /// Returns the number of input bytes consumed. `out` must be exactly one
-    /// block long and is fully overwritten.
-    pub fn decode_block_deltas(
-        &self,
-        bytes: &[u8],
-        out: &mut [i64],
-    ) -> Result<usize, CompressError> {
-        assert_eq!(out.len(), self.block_size, "output block size mismatch");
-        let f = self.read_header(bytes)?;
-        let hb = self.header.bytes();
-        if f == 0 {
-            out.fill(0);
-            return Ok(hb);
-        }
-        let pb = self.plane_bytes();
-        let need = self.encoded_size(f);
-        if bytes.len() < need {
-            return Err(CompressError::Truncated);
-        }
-        let signs = &bytes[hb..hb + pb];
-        let planes = &bytes[hb + pb..need];
-        let mut mags = vec![0u32; self.block_size];
-        bit_unshuffle(planes, f, &mut mags);
-        apply_signs(signs, &mags, out);
         Ok(need)
     }
 

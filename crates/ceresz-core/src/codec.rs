@@ -3,10 +3,10 @@
 //! `Codec` is the only host compression API. It dispatches on the configured
 //! [`Recipe`](crate::recipe::Recipe):
 //!
-//! - the **canonical** recipe routes to the original fused pipeline
-//!   (serial or rayon per [`Parallelism`]), emitting byte-identical v1
-//!   streams — the WSE-simulated kernels and the perf-gate baselines are
-//!   unaffected by the recipe machinery;
+//! - the **canonical** recipe routes to the fused per-block loops in
+//!   [`crate::compressor`], emitting byte-identical v1 streams — the
+//!   WSE-simulated kernels and the perf-gate baselines are unaffected by the
+//!   recipe machinery;
 //! - any other recipe runs the generic stage interpreter
 //!   ([`crate::stage`]), emitting a v2 stream whose header records the
 //!   recipe so decompression is fully self-describing.
@@ -16,21 +16,11 @@
 //! [`CompressError::BoundExceeded`] if any value strayed beyond ε.
 
 use crate::compressor::{
-    compress_canonical, compress_canonical_parallel, decompress_canonical,
-    decompress_canonical_parallel, CereszConfig, CompressError, Compressed, CompressionStats,
+    compress_canonical, decompress_canonical, CereszConfig, CompressError, Compressed,
+    CompressionStats,
 };
 use crate::stage::{Plane, StageCtx};
 use crate::stream::StreamHeader;
-
-/// Host-side execution strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded (the bit-identical reference path).
-    Serial,
-    /// Rayon across block-aligned chunks (byte-identical to serial).
-    #[default]
-    Rayon,
-}
 
 /// The compression/decompression entry point.
 ///
@@ -51,20 +41,17 @@ pub struct Codec {
 }
 
 impl Codec {
-    /// Codec over a configuration (bound, block size, recipe, parallelism).
+    /// Codec over a configuration (bound, block size, header width, recipe).
     #[must_use]
     pub fn new(cfg: CereszConfig) -> Self {
         Self { cfg }
     }
 
     /// A decompression-only codec: the error bound and recipe travel in the
-    /// stream itself, so only the execution strategy matters here (the
-    /// placeholder bound is never used).
+    /// stream itself, so the placeholder bound is never used.
     #[must_use]
-    pub fn decompressor(parallelism: Parallelism) -> Self {
-        Self::new(
-            CereszConfig::new(crate::bound::ErrorBound::Abs(1.0)).with_parallelism(parallelism),
-        )
+    pub fn decompressor() -> Self {
+        Self::new(CereszConfig::new(crate::bound::ErrorBound::Abs(1.0)))
     }
 
     /// The configuration this codec runs.
@@ -77,10 +64,7 @@ impl Codec {
     pub fn compress(&self, data: &[f32]) -> Result<Compressed, CompressError> {
         let eps = self.cfg.resolve_eps(data)?;
         if self.cfg.recipe.is_canonical() {
-            return match self.cfg.parallelism {
-                Parallelism::Serial => compress_canonical(data, &self.cfg, eps),
-                Parallelism::Rayon => compress_canonical_parallel(data, &self.cfg, eps),
-            };
+            return compress_canonical(data, &self.cfg, eps);
         }
         let compressed = self.compress_staged(data, eps)?;
         if !self.cfg.recipe.guarantees_bound() {
@@ -97,28 +81,9 @@ impl Codec {
         let (header, consumed) = StreamHeader::read_prefix(bytes)?;
         let payload = &bytes[consumed..];
         if header.recipe.is_canonical() {
-            return match self.cfg.parallelism {
-                Parallelism::Serial => decompress_canonical(&header, payload),
-                Parallelism::Rayon => decompress_canonical_parallel(&header, payload),
-            };
+            return decompress_canonical(&header, payload);
         }
-        let ctx = StageCtx {
-            eps: header.eps,
-            block_size: header.block_size,
-            header: header.header_width,
-            count: header.count,
-        };
-        let mut plane = Plane::Bytes(payload.to_vec());
-        for spec in header.recipe.stages().iter().rev() {
-            plane = spec.build().decode(plane, &ctx)?;
-        }
-        let Plane::F32(out) = plane else {
-            return Err(CompressError::InvalidRecipe("pipeline did not end on f32"));
-        };
-        if out.len() != header.count {
-            return Err(CompressError::Truncated);
-        }
-        Ok(out)
+        decompress_staged(&header, payload)
     }
 
     /// Run the generic stage interpreter (non-canonical recipes).
@@ -155,6 +120,27 @@ impl Codec {
     }
 }
 
+/// Run the generic stage interpreter in reverse over a stream payload.
+fn decompress_staged(header: &StreamHeader, payload: &[u8]) -> Result<Vec<f32>, CompressError> {
+    let ctx = StageCtx {
+        eps: header.eps,
+        block_size: header.block_size,
+        header: header.header_width,
+        count: header.count,
+    };
+    let mut plane = Plane::Bytes(payload.to_vec());
+    for spec in header.recipe.stages().iter().rev() {
+        plane = spec.build().decode(plane, &ctx)?;
+    }
+    let Plane::F32(out) = plane else {
+        return Err(CompressError::InvalidRecipe("pipeline did not end on f32"));
+    };
+    if out.len() != header.count {
+        return Err(CompressError::Truncated);
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,26 +155,40 @@ mod tests {
     }
 
     /// The generic stage interpreter, run on the canonical recipe stages,
-    /// produces exactly the fused fast path's payload bytes (only the fast
-    /// path is used in production for canonical recipes; this pins that the
-    /// abstraction and the optimized code implement the same format).
+    /// produces exactly the fused fast path's payload bytes and decodes them
+    /// to the same values (only the fast path is used in production for
+    /// canonical recipes; this pins that the abstraction and the optimized
+    /// code implement the same format). The lengths straddle the fused
+    /// loop's 256-block pieces and end on a partial block.
     #[test]
     fn interpreter_matches_fused_path_on_canonical_stages() {
-        let data = wavy(10_007);
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
         let codec = Codec::new(cfg);
-        let eps = cfg.resolve_eps(&data).unwrap();
-        let fused = codec.compress(&data).unwrap();
-        let staged = codec.compress_staged(&data, eps).unwrap();
-        // A canonical recipe writes the v1 header on both paths (no recipe
-        // bytes); the block payloads after it must be byte-identical.
-        let fused_payload = &fused.data[crate::stream::STREAM_HEADER_BYTES..];
-        let (h, consumed) = StreamHeader::read_prefix(&staged.data).unwrap();
-        assert!(h.recipe.is_canonical());
-        assert_eq!(consumed, crate::stream::STREAM_HEADER_BYTES);
-        assert_eq!(&staged.data[consumed..], fused_payload);
-        assert_eq!(staged.stats.n_blocks, fused.stats.n_blocks);
-        assert_eq!(staged.stats.max_fixed_length, fused.stats.max_fixed_length);
+        let bs = cfg.block_size;
+        for n in [255 * bs, 256 * bs, 257 * bs, 513 * bs, 512 * bs + 7, 10_007] {
+            let data = wavy(n);
+            let eps = cfg.resolve_eps(&data).unwrap();
+            let fused = codec.compress(&data).unwrap();
+            let staged = codec.compress_staged(&data, eps).unwrap();
+            // A canonical recipe writes the v1 header on both paths (no
+            // recipe bytes), so the whole streams must be byte-identical.
+            let (h, consumed) = StreamHeader::read_prefix(&staged.data).unwrap();
+            assert!(h.recipe.is_canonical());
+            assert_eq!(consumed, crate::stream::STREAM_HEADER_BYTES, "n {n}");
+            assert_eq!(staged.data, fused.data, "n {n}");
+            assert_eq!(staged.stats, fused.stats, "n {n}");
+            let payload = &fused.data[consumed..];
+            let interpreted = decompress_staged(&h, payload).unwrap();
+            let restored = codec.decompress(&fused.data).unwrap();
+            assert!(
+                interpreted
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(restored.iter().map(|v| v.to_bits())),
+                "n {n}"
+            );
+            assert!(verify_error_bound(&data, &restored, eps), "n {n}");
+        }
     }
 
     #[test]
@@ -206,9 +206,7 @@ mod tests {
         assert_eq!(c.stats.recipe, recipe);
         // A decompressor with no prior knowledge of the recipe reads it from
         // the stream.
-        let restored = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
         assert!(verify_error_bound(&data, &restored, c.stats.eps));
     }
 
@@ -240,9 +238,7 @@ mod tests {
         let one_d = Codec::new(CereszConfig::new(bound))
             .compress(&data)
             .unwrap();
-        let restored = Codec::decompressor(Parallelism::Serial)
-            .decompress(&two_d.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&two_d.data).unwrap();
         assert!(verify_error_bound(&data, &restored, two_d.stats.eps));
         assert!(
             two_d.ratio() > one_d.ratio(),
@@ -258,9 +254,7 @@ mod tests {
         let recipe = Recipe::new(&[StageSpec::MantissaSplit, StageSpec::Huffman]).unwrap();
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3)).with_recipe(recipe);
         let c = Codec::new(cfg).compress(&data).unwrap();
-        let restored = Codec::decompressor(Parallelism::Rayon)
-            .decompress(&c.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
         assert_eq!(restored.len(), data.len());
         for (a, b) in data.iter().zip(&restored) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -274,9 +268,7 @@ mod tests {
         let recipe = Recipe::new(&[StageSpec::Bf16, StageSpec::Huffman]).unwrap();
         let loose = CereszConfig::new(ErrorBound::Abs(0.01)).with_recipe(recipe);
         let c = Codec::new(loose).compress(&data).unwrap();
-        let restored = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
         assert!(verify_error_bound(&data, &restored, 0.01));
         // Tight bound: bf16 cannot honor it → typed error, not silent loss.
         let tight = CereszConfig::new(ErrorBound::Abs(1e-6)).with_recipe(recipe);
@@ -298,7 +290,7 @@ mod tests {
         .unwrap();
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3)).with_recipe(recipe);
         let c = Codec::new(cfg).compress(&data).unwrap();
-        let d = Codec::decompressor(Parallelism::Serial);
+        let d = Codec::decompressor();
         for cut in [c.data.len() - 1, c.data.len() / 2, 30] {
             assert!(d.decompress(&c.data[..cut]).is_err(), "cut {cut}");
         }

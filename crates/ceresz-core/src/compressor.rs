@@ -1,17 +1,13 @@
 //! Top-level compression API: configuration, error type, statistics, and the
-//! serial and multithreaded host implementations.
+//! host implementation of the canonical pipeline.
 //!
-//! The serial path is the *reference implementation*: the WSE-mapped
-//! execution in `ceresz-wse` is tested to produce bit-identical streams. The
-//! parallel path partitions the input into block-aligned chunks and encodes
-//! them with rayon, exploiting the same property the paper exploits on the
-//! wafer — block independence.
-
-use rayon::prelude::*;
+//! The canonical loops are the *reference implementation*: the WSE-mapped
+//! execution in `ceresz-wse` is tested to produce bit-identical streams.
+//! They rely on the same property the paper exploits on the wafer — block
+//! independence: every block encodes and decodes on its own.
 
 use crate::block::{BlockCodec, BlockScratch, HeaderWidth};
 use crate::bound::ErrorBound;
-use crate::codec::Parallelism;
 use crate::quantize::QuantizeError;
 use crate::recipe::Recipe;
 use crate::stream::{scan_block_offsets, StreamHeader};
@@ -121,13 +117,11 @@ pub struct CereszConfig {
     pub header: HeaderWidth,
     /// The stage composition (default: the paper's canonical pipeline).
     pub recipe: Recipe,
-    /// Host-side execution strategy (default: rayon).
-    pub parallelism: Parallelism,
 }
 
 impl CereszConfig {
     /// Configuration with the paper's defaults (block 32, 4-byte headers,
-    /// canonical recipe, rayon parallelism).
+    /// canonical recipe).
     #[must_use]
     pub fn new(bound: ErrorBound) -> Self {
         Self {
@@ -135,7 +129,6 @@ impl CereszConfig {
             block_size: DEFAULT_BLOCK_SIZE,
             header: HeaderWidth::W4,
             recipe: Recipe::canonical(),
-            parallelism: Parallelism::Rayon,
         }
     }
 
@@ -157,13 +150,6 @@ impl CereszConfig {
     #[must_use]
     pub fn with_recipe(mut self, recipe: Recipe) -> Self {
         self.recipe = recipe;
-        self
-    }
-
-    /// Override the host-side execution strategy.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -267,13 +253,6 @@ impl CompressionStats {
         self.max_fixed_length = self.max_fixed_length.max(info.fixed_length);
         self.total_fixed_length += u64::from(info.fixed_length);
     }
-
-    fn merge(&mut self, other: &CompressionStats) {
-        self.n_blocks += other.n_blocks;
-        self.zero_blocks += other.zero_blocks;
-        self.max_fixed_length = self.max_fixed_length.max(other.max_fixed_length);
-        self.total_fixed_length += other.total_fixed_length;
-    }
 }
 
 /// A compressed stream plus the statistics gathered while producing it.
@@ -301,7 +280,7 @@ impl Compressed {
 /// Check that `data` would compress cleanly at `eps` without encoding it:
 /// quantize each block, form the Lorenzo residuals, and verify no residual
 /// exceeds the 31-bit wire format. Reproduces exactly the errors (and error
-/// indices) the serial [`crate::Codec::compress`] would raise, in the same
+/// indices) [`crate::Codec::compress`] would raise, in the same
 /// order.
 ///
 /// The WSE mapping layer runs this before injecting blocks into the fabric,
@@ -322,59 +301,34 @@ pub fn precheck_input(data: &[f32], eps: f64, block_size: usize) -> Result<(), C
     Ok(())
 }
 
-/// Serial canonical-pipeline compression (the reference implementation the
-/// WSE kernels are tested bit-identical against). `eps` is pre-resolved.
+/// Blocks per piece of the canonical loops.
+const PIECE_BLOCKS: usize = 256;
+
+/// Canonical-pipeline compression (the reference implementation the WSE
+/// kernels are tested bit-identical against). `eps` is pre-resolved.
 pub(crate) fn compress_canonical(
     data: &[f32],
     cfg: &CereszConfig,
     eps: f64,
 ) -> Result<Compressed, CompressError> {
     let codec = BlockCodec::new(cfg.block_size, cfg.header);
-    let header = StreamHeader {
-        header_width: cfg.header,
-        block_size: cfg.block_size,
-        count: data.len(),
-        eps,
-        recipe: Recipe::canonical(),
-    };
-    let mut out = Vec::with_capacity(crate::stream::STREAM_HEADER_BYTES + data.len());
-    header.write(&mut out);
     let mut stats = CompressionStats {
         original_bytes: std::mem::size_of_val(data),
         eps,
         ..CompressionStats::default()
     };
-    let mut scratch = BlockScratch::default();
-    for chunk in data.chunks(cfg.block_size) {
-        let info = codec.encode_block_with(chunk, eps, &mut scratch, &mut out)?;
-        stats.absorb_block(info);
-    }
-    stats.compressed_bytes = out.len();
-    Ok(Compressed { data: out, stats })
-}
-
-/// Rayon canonical-pipeline compression over block-aligned chunks; produces
-/// a stream byte-identical to [`compress_canonical`].
-pub(crate) fn compress_canonical_parallel(
-    data: &[f32],
-    cfg: &CereszConfig,
-    eps: f64,
-) -> Result<Compressed, CompressError> {
-    let codec = BlockCodec::new(cfg.block_size, cfg.header);
-    // Chunk so each rayon task encodes a run of whole blocks.
-    let blocks_per_chunk = 256usize;
-    let chunk_elems = blocks_per_chunk * cfg.block_size;
-    let pieces: Vec<(Vec<u8>, CompressionStats)> = data
-        .par_chunks(chunk_elems.max(cfg.block_size))
-        .map(|chunk| {
-            let mut out = Vec::with_capacity(chunk.len() * 4);
-            let mut stats = CompressionStats::default();
+    // Pieces with a scratch each, joined once: plain serial loops moved wafer `peak_rss_mb`
+    // +2–4 %, one scratch per call wafer-sparse `setup_s` +5 % (heap layout, not work).
+    let pieces: Vec<Vec<u8>> = data
+        .chunks(PIECE_BLOCKS * cfg.block_size)
+        .map(|piece| {
+            let mut out = Vec::with_capacity(piece.len() * 4);
             let mut scratch = BlockScratch::default();
-            for block in chunk.chunks(cfg.block_size) {
+            for block in piece.chunks(cfg.block_size) {
                 let info = codec.encode_block_with(block, eps, &mut scratch, &mut out)?;
                 stats.absorb_block(info);
             }
-            Ok((out, stats))
+            Ok(out)
         })
         .collect::<Result<_, CompressError>>()?;
 
@@ -385,44 +339,21 @@ pub(crate) fn compress_canonical_parallel(
         eps,
         recipe: Recipe::canonical(),
     };
-    let body_len: usize = pieces.iter().map(|(b, _)| b.len()).sum();
+    let body_len: usize = pieces.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(crate::stream::STREAM_HEADER_BYTES + body_len);
     header.write(&mut out);
-    let mut stats = CompressionStats {
-        original_bytes: std::mem::size_of_val(data),
-        eps,
-        ..CompressionStats::default()
-    };
-    for (bytes, piece_stats) in &pieces {
-        out.extend_from_slice(bytes);
-        stats.merge(piece_stats);
+    for piece in &pieces {
+        out.extend_from_slice(piece);
     }
     stats.compressed_bytes = out.len();
     Ok(Compressed { data: out, stats })
 }
 
-/// Serial canonical-pipeline decompression of a parsed stream.
-pub(crate) fn decompress_canonical(
-    header: &StreamHeader,
-    payload: &[u8],
-) -> Result<Vec<f32>, CompressError> {
-    header.check_payload(payload.len())?;
-    let codec = header.codec();
-    let mut out = vec![0f32; header.count];
-    let mut pos = 0usize;
-    let mut scratch = BlockScratch::default();
-    for (i, chunk) in out.chunks_mut(header.block_size).enumerate() {
-        debug_assert!(i < header.n_blocks());
-        pos += codec.decode_block_with(&payload[pos..], header.eps, &mut scratch, chunk)?;
-    }
-    Ok(out)
-}
-
-/// Rayon canonical-pipeline decompression, one task per run of blocks.
+/// Canonical-pipeline decompression of a parsed stream.
 ///
-/// Block starts are found with a cheap serial header scan, then blocks are
-/// decoded independently — the paper's "pre-known fixed length" property.
-pub(crate) fn decompress_canonical_parallel(
+/// Block starts are found with a cheap header scan first; each block then
+/// decodes on its own — the paper's "pre-known fixed length" property.
+pub(crate) fn decompress_canonical(
     header: &StreamHeader,
     payload: &[u8],
 ) -> Result<Vec<f32>, CompressError> {
@@ -430,16 +361,16 @@ pub(crate) fn decompress_canonical_parallel(
     let codec = header.codec();
     let offsets = scan_block_offsets(header, payload)?;
     let mut out = vec![0f32; header.count];
-    // One scratch per rayon task: chunk the block list so buffers amortize.
-    out.par_chunks_mut(header.block_size * 256)
-        .zip(offsets.par_chunks(256))
-        .try_for_each(|(chunk, offs)| {
-            let mut scratch = BlockScratch::default();
-            for (blk, &off) in chunk.chunks_mut(header.block_size).zip(offs) {
-                codec.decode_block_with(&payload[off..], header.eps, &mut scratch, blk)?;
-            }
-            Ok::<(), CompressError>(())
-        })?;
+    // The compression loop's pieces, for the same heap-layout reason.
+    for (piece, offs) in out
+        .chunks_mut(header.block_size * PIECE_BLOCKS)
+        .zip(offsets.chunks(PIECE_BLOCKS))
+    {
+        let mut scratch = BlockScratch::default();
+        for (block, &off) in piece.chunks_mut(header.block_size).zip(offs) {
+            codec.decode_block_with(&payload[off..], header.eps, &mut scratch, block)?;
+        }
+    }
     Ok(out)
 }
 
@@ -454,18 +385,12 @@ mod tests {
             .collect()
     }
 
-    fn serial(cfg: &CereszConfig) -> Codec {
-        Codec::new(cfg.with_parallelism(Parallelism::Serial))
-    }
-
     #[test]
     fn roundtrip_serial() {
         let data = wavy(10_000);
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
-        let c = serial(&cfg).compress(&data).unwrap();
-        let r = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
+        let r = Codec::decompressor().decompress(&c.data).unwrap();
         assert_eq!(r.len(), data.len());
         for (a, b) in data.iter().zip(&r) {
             assert!((f64::from(*a) - f64::from(*b)).abs() <= 1e-3 + 1e-12);
@@ -474,31 +399,6 @@ mod tests {
             c.ratio() > 1.0,
             "smooth data should compress: {}",
             c.ratio()
-        );
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let data = wavy(100_003); // deliberately not block-aligned
-        let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let s = serial(&cfg).compress(&data).unwrap();
-        let p = Codec::new(cfg).compress(&data).unwrap();
-        assert_eq!(s.data, p.data);
-        assert_eq!(s.stats, p.stats);
-    }
-
-    #[test]
-    fn parallel_decompress_matches_serial() {
-        let data = wavy(50_001);
-        let cfg = CereszConfig::new(ErrorBound::Rel(1e-4));
-        let c = Codec::new(cfg).compress(&data).unwrap();
-        assert_eq!(
-            Codec::decompressor(Parallelism::Serial)
-                .decompress(&c.data)
-                .unwrap(),
-            Codec::decompressor(Parallelism::Rayon)
-                .decompress(&c.data)
-                .unwrap()
         );
     }
 
@@ -515,12 +415,10 @@ mod tests {
     #[test]
     fn empty_input() {
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
-        let c = serial(&cfg).compress(&[]).unwrap();
+        let c = Codec::new(cfg).compress(&[]).unwrap();
         assert_eq!(c.stats.n_blocks, 0);
         assert_eq!(
-            Codec::decompressor(Parallelism::Serial)
-                .decompress(&c.data)
-                .unwrap(),
+            Codec::decompressor().decompress(&c.data).unwrap(),
             Vec::<f32>::new()
         );
     }
@@ -529,28 +427,11 @@ mod tests {
     fn single_element_roundtrips_on_every_path() {
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-4));
         let data = [std::f32::consts::PI];
-        let c = serial(&cfg).compress(&data).unwrap();
-        let p = Codec::new(cfg).compress(&data).unwrap();
-        assert_eq!(c.data, p.data);
+        let c = Codec::new(cfg).compress(&data).unwrap();
         assert_eq!(c.stats.n_blocks, 1);
-        for par in [Parallelism::Serial, Parallelism::Rayon] {
-            let restored = Codec::decompressor(par).decompress(&c.data).unwrap();
-            assert_eq!(restored.len(), 1);
-            assert!((f64::from(restored[0]) - f64::from(data[0])).abs() <= 1e-4 + 1e-10);
-        }
-    }
-
-    #[test]
-    fn empty_input_parallel_paths_agree() {
-        let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
-        let c = serial(&cfg).compress(&[]).unwrap();
-        assert_eq!(Codec::new(cfg).compress(&[]).unwrap().data, c.data);
-        for par in [Parallelism::Serial, Parallelism::Rayon] {
-            assert_eq!(
-                Codec::decompressor(par).decompress(&c.data).unwrap(),
-                Vec::<f32>::new()
-            );
-        }
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
+        assert_eq!(restored.len(), 1);
+        assert!((f64::from(restored[0]) - f64::from(data[0])).abs() <= 1e-4 + 1e-10);
     }
 
     #[test]
@@ -566,7 +447,7 @@ mod tests {
     fn nan_input_rejected() {
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-3));
         assert!(matches!(
-            serial(&cfg).compress(&[1.0, f32::NAN]),
+            Codec::new(cfg).compress(&[1.0, f32::NAN]),
             Err(CompressError::Quantize(QuantizeError::NonFinite {
                 index: 1
             }))
@@ -578,7 +459,7 @@ mod tests {
         let mut data = vec![0f32; 320];
         data.extend(wavy(320));
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-2));
-        let c = serial(&cfg).compress(&data).unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
         assert_eq!(c.stats.n_blocks, 20);
         assert!(c.stats.zero_blocks >= 10);
     }
@@ -587,7 +468,7 @@ mod tests {
     fn stats_ratio_matches_sizes() {
         let data = wavy(8192);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let c = serial(&cfg).compress(&data).unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
         assert_eq!(c.stats.original_bytes, 8192 * 4);
         assert_eq!(c.stats.compressed_bytes, c.data.len());
         assert!(c.stats.recipe.is_canonical());
@@ -608,7 +489,7 @@ mod tests {
 
     #[test]
     fn decompress_garbage_fails_cleanly() {
-        let d = Codec::decompressor(Parallelism::Serial);
+        let d = Codec::decompressor();
         assert!(d.decompress(b"garbage").is_err());
         assert!(d.decompress(&[]).is_err());
     }
@@ -624,17 +505,14 @@ mod tests {
         let a = CereszConfig::new(ErrorBound::Rel(1e-3))
             .with_block_size(64)
             .with_header(HeaderWidth::W1)
-            .with_recipe(recipe)
-            .with_parallelism(Parallelism::Serial);
+            .with_recipe(recipe);
         let b = CereszConfig::new(ErrorBound::Rel(1e-3))
-            .with_parallelism(Parallelism::Serial)
             .with_recipe(recipe)
             .with_header(HeaderWidth::W1)
             .with_block_size(64);
         assert_eq!(a.block_size, b.block_size);
         assert_eq!(a.header, b.header);
         assert_eq!(a.recipe, b.recipe);
-        assert_eq!(a.parallelism, b.parallelism);
         assert_eq!(a.bound, b.bound);
     }
 

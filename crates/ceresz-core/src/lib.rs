@@ -65,7 +65,7 @@ pub mod verify;
 
 pub use block::{BlockCodec, HeaderWidth};
 pub use bound::ErrorBound;
-pub use codec::{Codec, Parallelism};
+pub use codec::Codec;
 pub use compressor::{precheck_input, CereszConfig, CompressError, Compressed, CompressionStats};
 pub use recipe::{PlaneKind, Recipe, StageSpec};
 pub use stage::{Plane, Stage, StageCtx};

@@ -20,8 +20,7 @@
 //!   ([`StageSpec::PreQuantize`] pads with zeros; the stream header records
 //!   the true element count so decode can truncate).
 
-use crate::block::BlockCodec;
-use crate::block::HeaderWidth;
+use crate::block::{BlockCodec, BlockScratch, HeaderWidth};
 use crate::compressor::{CompressError, CompressionStats};
 use crate::lorenzo::{forward_1d_in_place, forward_2d, inverse_1d_in_place, inverse_2d};
 use crate::quantize::{dequantize, quantize, QuantizeError};
@@ -305,9 +304,10 @@ impl Stage for FixedLengthStage {
             return Err(CompressError::BadBlockSize(ctx.block_size));
         }
         let codec = BlockCodec::new(ctx.block_size, ctx.header);
+        let mut scratch = BlockScratch::default();
         let mut out = Vec::with_capacity(deltas.len());
         for block in deltas.chunks_exact(ctx.block_size) {
-            let info = codec.encode_deltas(block, &mut out)?;
+            let info = codec.encode_deltas(block, &mut scratch, &mut out)?;
             stats.absorb_block(info);
         }
         Ok(Plane::Bytes(out))
@@ -316,13 +316,20 @@ impl Stage for FixedLengthStage {
     fn decode(&self, input: Plane, ctx: &StageCtx) -> Result<Plane, CompressError> {
         let bytes = input.into_bytes()?;
         let codec = BlockCodec::new(ctx.block_size, ctx.header);
-        let mut out = Vec::new();
-        let mut block = vec![0i64; ctx.block_size];
+        let mut scratch = BlockScratch::default();
+        // Reserve for the header's block count, but never more blocks than
+        // the payload holds headers for: `count` may be forged.
+        let blocks = ctx
+            .count
+            .div_ceil(ctx.block_size)
+            .min(bytes.len() / ctx.header.bytes());
+        let mut out = Vec::with_capacity(blocks * ctx.block_size);
         let mut pos = 0usize;
         // Blocks are self-framing; consume the whole payload.
         while pos < bytes.len() {
-            pos += codec.decode_block_deltas(&bytes[pos..], &mut block)?;
-            out.extend_from_slice(&block);
+            let start = out.len();
+            out.resize(start + ctx.block_size, 0);
+            pos += codec.decode_block_deltas(&bytes[pos..], &mut scratch, &mut out[start..])?;
         }
         Ok(Plane::I64(out))
     }
@@ -580,11 +587,18 @@ mod tests {
         let fl = StageSpec::FixedLength.build();
         let err = fl.decode(Plane::Bytes(vec![0xFF; 3]), &c).unwrap_err();
         assert!(matches!(err, CompressError::Truncated));
+        // A payload cut inside a block's bit planes.
+        let mut stats = CompressionStats::default();
+        let q: Vec<i64> = (0..128).map(|i| (i * 37 % 541) - 270).collect();
+        let Plane::Bytes(enc) = fl.encode(Plane::I64(q), &c, &mut stats).unwrap() else {
+            panic!()
+        };
+        let cut = Plane::Bytes(enc[..enc.len() - 5].to_vec());
+        assert!(matches!(fl.decode(cut, &c), Err(CompressError::Truncated)));
         // Wrong-length mantissa plane.
         let ms = StageSpec::MantissaSplit.build();
         assert!(ms.decode(Plane::Bytes(vec![0; 7]), &c).is_err());
         // Wrong-kind plane.
-        let mut stats = CompressionStats::default();
         assert!(matches!(
             fl.encode(Plane::Bytes(vec![]), &c, &mut stats),
             Err(CompressError::InvalidRecipe(_))
@@ -592,6 +606,18 @@ mod tests {
         // Corrupt huffman stream.
         let h = StageSpec::Huffman.build();
         assert!(h.decode(Plane::Bytes(vec![1, 2, 3]), &c).is_err());
+    }
+
+    /// A forged element count never sizes the decoded plane: three zero-block
+    /// headers decode to three blocks however large the count claims to be.
+    #[test]
+    fn fixed_length_decode_is_sized_by_the_payload() {
+        let c = ctx(usize::MAX / 2);
+        let fl = StageSpec::FixedLength.build();
+        let Plane::I64(out) = fl.decode(Plane::Bytes(vec![0; 12]), &c).unwrap() else {
+            panic!()
+        };
+        assert_eq!(out, vec![0; 3 * c.block_size]);
     }
 
     #[test]

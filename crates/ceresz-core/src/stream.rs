@@ -161,9 +161,9 @@ impl StreamHeader {
 
 /// Scan the block payload and return the byte offset of every block.
 ///
-/// `payload` is the stream body after the stream header. Used to parallelize
-/// decompression (block starts must be known before blocks can be decoded
-/// independently) and by the integrity checker.
+/// `payload` is the stream body after the stream header. Used by canonical
+/// decompression (block starts known before any block decodes) and by the
+/// integrity checker.
 pub fn scan_block_offsets(
     header: &StreamHeader,
     payload: &[u8],

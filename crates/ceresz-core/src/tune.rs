@@ -14,7 +14,7 @@
 //! Scoring runs the real [`Codec`] on the sample, so the score is the actual
 //! on-wire ratio including headers, not a proxy estimate.
 
-use crate::codec::{Codec, Parallelism};
+use crate::codec::Codec;
 use crate::compressor::{CereszConfig, CompressError, Compressed};
 use crate::recipe::{Recipe, StageSpec};
 
@@ -172,8 +172,7 @@ pub fn tune(
     let mut canonical_ratio = None;
     let mut best: Option<(CereszConfig, f64)> = None;
     for cand in candidates(cfg, sample_len, dims) {
-        let serial = Codec::new(cand.with_parallelism(Parallelism::Serial));
-        let ratio = match serial.compress(sample) {
+        let ratio = match Codec::new(cand).compress(sample) {
             Ok(c) => {
                 let r = c.ratio();
                 // Strict `>` keeps the earliest (canonical-first) winner on
@@ -284,9 +283,7 @@ mod tests {
         // Whatever wins, the chosen recipe must compress the *full* field
         // within bound (the 2-D recipe is re-targeted from sample rows).
         let (c, _) = compress_auto(&data, Some((rows, cols)), &cfg).unwrap();
-        let restored = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
         assert!(verify_error_bound(&data, &restored, c.stats.eps));
         assert_eq!(c.stats.tune_margin, Some(report.margin()));
     }
@@ -306,9 +303,7 @@ mod tests {
         let (c, report) = compress_auto(&data, None, &cfg).unwrap();
         assert!(c.stats.tune_margin.is_some());
         assert_eq!(c.stats.recipe, report.chosen.recipe);
-        let restored = Codec::decompressor(Parallelism::Rayon)
-            .decompress(&c.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&c.data).unwrap();
         assert!(verify_error_bound(&data, &restored, c.stats.eps));
     }
 

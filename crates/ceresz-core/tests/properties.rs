@@ -1,11 +1,7 @@
 //! Property-based tests of the core compression invariants.
 
-use ceresz_core::{verify_error_bound, CereszConfig, Codec, ErrorBound, HeaderWidth, Parallelism};
+use ceresz_core::{verify_error_bound, CereszConfig, Codec, ErrorBound, HeaderWidth};
 use proptest::prelude::*;
-
-fn serial(cfg: CereszConfig) -> Codec {
-    Codec::new(cfg.with_parallelism(Parallelism::Serial))
-}
 
 /// Finite f32 values in a range where REL bounds never overflow quantization.
 fn field_values(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -26,7 +22,7 @@ proptest! {
         let lambda = 10f64.powi(-lambda_exp);
         let cfg = CereszConfig::new(ErrorBound::Rel(lambda))
             .with_block_size(1usize << block_pow);
-        let codec = serial(cfg);
+        let codec = Codec::new(cfg);
         let c = codec.compress(&data).unwrap();
         let r = codec.decompress(&c.data).unwrap();
         prop_assert_eq!(r.len(), data.len());
@@ -37,22 +33,19 @@ proptest! {
     #[test]
     fn error_bound_honored_w1_headers(data in field_values(512)) {
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3)).with_header(HeaderWidth::W1);
-        let codec = serial(cfg);
+        let codec = Codec::new(cfg);
         let c = codec.compress(&data).unwrap();
         let r = codec.decompress(&c.data).unwrap();
         prop_assert!(verify_error_bound(&data, &r, c.stats.eps));
     }
 
-    /// Compression is deterministic and the parallel path is bit-identical.
+    /// Compression is deterministic: compressing twice emits the same bytes.
     #[test]
-    fn parallel_equals_serial(data in field_values(4096)) {
+    fn compress_is_deterministic(data in field_values(4096)) {
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let a = serial(cfg).compress(&data).unwrap();
-        let b = Codec::new(cfg.with_parallelism(Parallelism::Rayon)).compress(&data).unwrap();
+        let a = Codec::new(cfg).compress(&data).unwrap();
+        let b = Codec::new(cfg).compress(&data).unwrap();
         prop_assert_eq!(&a.data, &b.data);
-        let ra = Codec::decompressor(Parallelism::Serial).decompress(&a.data).unwrap();
-        let rb = Codec::decompressor(Parallelism::Rayon).decompress(&b.data).unwrap();
-        prop_assert_eq!(ra, rb);
     }
 
     /// Compressing the reconstruction again is idempotent on the quantized
@@ -62,7 +55,7 @@ proptest! {
     #[test]
     fn second_roundtrip_is_stable(data in field_values(512)) {
         let cfg = CereszConfig::new(ErrorBound::Abs(1e-2));
-        let codec = serial(cfg);
+        let codec = Codec::new(cfg);
         let c1 = codec.compress(&data).unwrap();
         let r1 = codec.decompress(&c1.data).unwrap();
         let c2 = codec.compress(&r1).unwrap();
@@ -79,8 +72,8 @@ proptest! {
     #[test]
     fn stream_is_self_describing(data in field_values(1024)) {
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-2));
-        let c = serial(cfg).compress(&data).unwrap();
-        let r = Codec::decompressor(Parallelism::Serial).decompress(&c.data).unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
+        let r = Codec::decompressor().decompress(&c.data).unwrap();
         prop_assert_eq!(r.len(), data.len());
     }
 
@@ -89,9 +82,9 @@ proptest! {
     #[test]
     fn truncation_fails_cleanly(data in field_values(256), cut in 0usize..200) {
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let c = serial(cfg).compress(&data).unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
         let cut = cut.min(c.data.len().saturating_sub(1));
-        let r = Codec::decompressor(Parallelism::Serial).decompress(&c.data[..cut]);
+        let r = Codec::decompressor().decompress(&c.data[..cut]);
         prop_assert!(r.is_err());
     }
 
@@ -148,7 +141,7 @@ proptest! {
     #[test]
     fn stats_account_for_all_bytes(data in field_values(2048)) {
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
-        let c = serial(cfg).compress(&data).unwrap();
+        let c = Codec::new(cfg).compress(&data).unwrap();
         prop_assert_eq!(c.stats.compressed_bytes, c.data.len());
         prop_assert_eq!(c.stats.n_blocks, data.len().div_ceil(cfg.block_size));
     }

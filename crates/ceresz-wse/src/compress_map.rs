@@ -223,7 +223,7 @@ mod tests {
     };
     use ceresz_core::block::BlockCodec;
     use ceresz_core::plan::{CompressionPlan, StageCostModel, SubStageKind};
-    use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism};
+    use ceresz_core::{CereszConfig, Codec, ErrorBound};
     use std::sync::Arc;
     use wse_sim::{CostModel, Direction, SimError};
 
@@ -277,7 +277,7 @@ mod tests {
             let run = run(kind, &data, &cfg);
             assert_eq!(run.compressed.data, reference.data, "{kind}");
         }
-        let restored = Codec::decompressor(Parallelism::Serial)
+        let restored = Codec::decompressor()
             .decompress(&run(row_par(4), &data, &cfg).compressed.data)
             .unwrap();
         assert_eq!(restored.len(), data.len());

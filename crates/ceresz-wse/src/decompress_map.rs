@@ -294,7 +294,7 @@ fn map_decompression(
 mod tests {
     use super::*;
     use crate::harness::colors;
-    use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism, Recipe, StageSpec};
+    use ceresz_core::{CereszConfig, Codec, ErrorBound, Recipe, StageSpec};
 
     fn wavy(n: usize) -> Vec<f32> {
         (0..n)
@@ -314,9 +314,7 @@ mod tests {
     }
 
     fn host(c: &Compressed) -> Vec<f32> {
-        Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap()
+        Codec::decompressor().decompress(&c.data).unwrap()
     }
 
     #[test]

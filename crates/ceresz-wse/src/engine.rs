@@ -218,7 +218,7 @@ mod tests {
             let run = execute(strategy, &[], &cfg, &SimOptions::default()).unwrap();
             assert_eq!(run.compressed.data, reference.data, "{strategy:?}");
             assert_eq!(
-                ceresz_core::Codec::decompressor(ceresz_core::Parallelism::Serial)
+                ceresz_core::Codec::decompressor()
                     .decompress(&run.compressed.data)
                     .unwrap(),
                 Vec::<f32>::new()
@@ -234,7 +234,7 @@ mod tests {
         for strategy in all_strategies() {
             let run = execute(strategy, &data, &cfg, &SimOptions::default()).unwrap();
             assert_eq!(run.compressed.data, reference.data, "{strategy:?}");
-            let restored = ceresz_core::Codec::decompressor(ceresz_core::Parallelism::Serial)
+            let restored = ceresz_core::Codec::decompressor()
                 .decompress(&run.compressed.data)
                 .unwrap();
             assert_eq!(restored.len(), 1);

@@ -6,15 +6,15 @@
 //! [`generate::DataClass`]) plus a compression configuration and three WSE
 //! mapping shapes. Seven oracles judge it:
 //!
-//! 1. **Differential** — host `compress`, `compress_parallel`, and all three
-//!    simulated mapping strategies agree exactly: bit-identical streams on
-//!    success, the same typed `CompressError` on failure.
-//! 2. **Roundtrip** — decompression (serial and parallel) restores the
-//!    original length and honors the resolved ε pointwise.
+//! 1. **Differential** — host `compress` and all three simulated mapping
+//!    strategies agree exactly: bit-identical streams on success, the same
+//!    typed `CompressError` on failure.
+//! 2. **Roundtrip** — decompression restores the original length and honors
+//!    the resolved ε pointwise.
 //! 3. **Mutation** — every corruption of a valid stream/archive (bit flips,
 //!    strict-prefix truncations, length-field forgeries) yields a typed
-//!    error — never a panic, a silent wrong answer the two decoders disagree
-//!    on, or an allocation sized by a forged length field.
+//!    error or, where the format cannot detect a flip, a value — never a
+//!    panic or an allocation sized by a forged length field.
 //! 4. **Baselines** — every baseline codec rejects bad input with a typed
 //!    error or honors its own recorded error bound.
 //! 5. **Verifier** — the static mapping verifier is sound: every mapping it
@@ -25,11 +25,11 @@
 //!    flight-recorded run of every shipped mapping: per-link worst-case load
 //!    ≥ observed occupancy, critical-path lower bound ≤ simulated makespan,
 //!    SRAM watermark ≥ observed peak, deadlock-freedom proven.
-//! 7. **Recipes** — under a randomly drawn well-typed stage recipe, serial
-//!    and rayon agree bit-for-bit, the stream and archive are fully
-//!    self-describing (decode uses only the recorded recipe bytes; lossless
-//!    recipes restore exact bits, lossy ones honor ε), and corrupted recipe
-//!    bytes are typed rejections.
+//! 7. **Recipes** — under a randomly drawn well-typed stage recipe,
+//!    compression fails with a typed error or yields a stream and archive
+//!    that are fully self-describing (decode uses only the recorded recipe
+//!    bytes; lossless recipes restore exact bits, lossy ones honor ε), and
+//!    corrupted recipe bytes are typed rejections.
 //!
 //! Everything derives from `(seed, case index)` via a built-in xorshift64*
 //! generator — no external crates — so a whole run reproduces with

@@ -8,7 +8,7 @@
 
 use baselines::{Codec as BaselineCodec, CompressedBuf};
 use ceresz_core::archive::Archive;
-use ceresz_core::{verify_error_bound, Codec, Compressed, HeaderWidth, Parallelism};
+use ceresz_core::{verify_error_bound, Codec, Compressed, HeaderWidth};
 use ceresz_wse::{execute, execute_decompress, mapping_manifest, SimOptions, WseError};
 use wse_sim::SimError;
 
@@ -16,9 +16,9 @@ use crate::generate::Case;
 use crate::mutate::{self, Mutation};
 use crate::rng::Rng;
 
-/// Oracle 1 — differential: the host reference `compress`, its parallel
-/// variant, and all three simulated mapping strategies must agree exactly:
-/// bit-identical streams on success, the *same* typed
+/// Oracle 1 — differential: the host reference `compress` and all three
+/// simulated mapping strategies must agree exactly: bit-identical streams on
+/// success, the *same* typed
 /// [`CompressError`](ceresz_core::CompressError) on failure. Simulated
 /// decompression of the host stream through each strategy's shape must
 /// restore exactly the host decode's bits, at any pipelines per row, or
@@ -27,27 +27,7 @@ use crate::rng::Rng;
 /// oracles to reuse.
 pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
     let cfg = case.config();
-    let host = Codec::new(cfg.with_parallelism(Parallelism::Serial)).compress(&case.data);
-    match Codec::new(cfg.with_parallelism(Parallelism::Rayon)).compress(&case.data) {
-        Ok(par) => match &host {
-            Ok(h) if par.data == h.data => {}
-            Ok(_) => return Err("compress_parallel stream differs from serial compress".into()),
-            Err(e) => return Err(format!("compress_parallel Ok but serial compress Err({e})")),
-        },
-        Err(pe) => match &host {
-            Err(e) if *e == pe => {}
-            Err(e) => {
-                return Err(format!(
-                    "error mismatch: serial compress Err({e}) vs compress_parallel Err({pe})"
-                ))
-            }
-            Ok(_) => {
-                return Err(format!(
-                    "serial compress Ok but compress_parallel Err({pe})"
-                ))
-            }
-        },
-    }
+    let host = Codec::new(cfg).compress(&case.data);
     for strategy in case.strategies {
         match (
             execute(strategy, &case.data, &cfg, &SimOptions::default()),
@@ -79,7 +59,7 @@ pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
         }
     }
     if let Ok(h) = &host {
-        let decoded = Codec::decompressor(Parallelism::Serial).decompress(&h.data);
+        let decoded = Codec::decompressor().decompress(&h.data);
         for strategy in case.strategies {
             let fits = case.header == HeaderWidth::W4;
             match execute_decompress(strategy, h, &SimOptions::default()) {
@@ -108,31 +88,21 @@ pub fn oracle_differential(case: &Case) -> Result<Option<Compressed>, String> {
     Ok(host.ok())
 }
 
-/// Oracle 2 — roundtrip: decoding the host stream (serially and in parallel)
-/// restores the original length and honors the resolved ε pointwise.
+/// Oracle 2 — roundtrip: decoding the host stream restores the original
+/// length and honors the resolved ε pointwise.
 pub fn oracle_roundtrip(case: &Case, host: &Compressed) -> Result<(), String> {
-    let serial = Codec::decompressor(Parallelism::Serial)
+    let restored = Codec::decompressor()
         .decompress(&host.data)
-        .map_err(|e| format!("serial decompress failed: {e}"))?;
-    let parallel = Codec::decompressor(Parallelism::Rayon)
-        .decompress(&host.data)
-        .map_err(|e| format!("parallel decompress failed: {e}"))?;
-    if serial
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(parallel.iter().map(|v| v.to_bits()))
-    {
-        return Err("serial and parallel decompression disagree".into());
-    }
-    if serial.len() != case.data.len() {
+        .map_err(|e| format!("decompress failed: {e}"))?;
+    if restored.len() != case.data.len() {
         return Err(format!(
             "length mismatch: {} in, {} out",
             case.data.len(),
-            serial.len()
+            restored.len()
         ));
     }
-    if !verify_error_bound(&case.data, &serial, host.stats.eps) {
-        let worst = ceresz_core::max_abs_error(&case.data, &serial);
+    if !verify_error_bound(&case.data, &restored, host.stats.eps) {
+        let worst = ceresz_core::max_abs_error(&case.data, &restored);
         return Err(format!(
             "error bound violated: max |err| {worst:.6e} vs eps {:.6e}",
             host.stats.eps
@@ -141,47 +111,10 @@ pub fn oracle_roundtrip(case: &Case, host: &Compressed) -> Result<(), String> {
     Ok(())
 }
 
-/// Apply both decoders to a mutated stream and check the mutation contract.
+/// Apply the decoder to a mutated stream and check the mutation contract.
 fn check_stream_mutation(m: &Mutation) -> Result<(), String> {
-    let serial = Codec::decompressor(Parallelism::Serial).decompress(&m.bytes);
-    let parallel = Codec::decompressor(Parallelism::Rayon).decompress(&m.bytes);
-    if m.must_fail && serial.is_ok() {
-        return Err(format!(
-            "{}: serial decoder accepted a forged stream",
-            m.what
-        ));
-    }
-    if m.must_fail && parallel.is_ok() {
-        return Err(format!(
-            "{}: parallel decoder accepted a forged stream",
-            m.what
-        ));
-    }
-    match (serial, parallel) {
-        (Ok(a), Ok(b)) => {
-            if a.iter()
-                .map(|v| v.to_bits())
-                .ne(b.iter().map(|v| v.to_bits()))
-            {
-                return Err(format!(
-                    "{}: serial and parallel decoders decoded different values",
-                    m.what
-                ));
-            }
-        }
-        (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) => {
-            return Err(format!(
-                "{}: serial decoder accepted what parallel rejected ({e})",
-                m.what
-            ))
-        }
-        (Err(e), Ok(_)) => {
-            return Err(format!(
-                "{}: parallel decoder accepted what serial rejected ({e})",
-                m.what
-            ))
-        }
+    if Codec::decompressor().decompress(&m.bytes).is_ok() && m.must_fail {
+        return Err(format!("{}: decoder accepted a forged stream", m.what));
     }
     Ok(())
 }
@@ -212,7 +145,7 @@ fn check_archive_mutation(m: &Mutation) -> Result<(), String> {
 /// Oracle 3 — mutation: every corruption of a valid stream or archive
 /// (random bit flips, all-strict-prefix truncations, targeted length-field
 /// forgeries) decodes to a typed error or, where the format genuinely cannot
-/// detect the flip, to a value both decoders agree on. Never a panic, and
+/// detect the flip, to a value. Never a panic, and
 /// never an allocation sized by a forged length field.
 pub fn oracle_mutation(case: &Case, host: &Compressed) -> Result<(), String> {
     let mut r = Rng::new(case.seed).derive(0xC0FFEE);
@@ -377,47 +310,16 @@ pub fn oracle_baselines(case: &Case) -> Result<(), String> {
 
 /// Oracle 7 — recipes: compressing under the case's randomly drawn (but
 /// well-typed) recipe must behave exactly like the canonical pipeline
-/// contract-wise: serial and rayon agree bit-for-bit (streams *and* typed
-/// errors), the stream is fully self-describing (a fresh decompressor using
-/// only the recorded recipe bytes restores the field — bit-exactly for
-/// lossless recipes, within ε otherwise), the archive container records the
-/// recipe per field, and corrupting the recipe bytes yields a typed error,
-/// never a panic.
+/// contract-wise: it either fails with a typed error or its stream is fully
+/// self-describing (a fresh decompressor using only the recorded recipe
+/// bytes restores the field — bit-exactly for lossless recipes, within ε
+/// otherwise), the archive container records the recipe per field, and
+/// corrupting the recipe bytes yields a typed error, never a panic.
 pub fn oracle_recipes(case: &Case) -> Result<(), String> {
     let cfg = case.recipe_config();
-    let serial = Codec::new(cfg.with_parallelism(Parallelism::Serial)).compress(&case.data);
-    let rayon = Codec::new(cfg.with_parallelism(Parallelism::Rayon)).compress(&case.data);
-    let c = match (serial, rayon) {
-        (Ok(a), Ok(b)) => {
-            if a.data != b.data {
-                return Err(format!(
-                    "recipe {}: serial and rayon streams differ",
-                    cfg.recipe
-                ));
-            }
-            a
-        }
-        (Err(a), Err(b)) => {
-            if a != b {
-                return Err(format!(
-                    "recipe {}: error mismatch: serial Err({a}) vs rayon Err({b})",
-                    cfg.recipe
-                ));
-            }
-            return Ok(()); // Typed rejection on both paths is conformant.
-        }
-        (Ok(_), Err(e)) => {
-            return Err(format!(
-                "recipe {}: serial Ok but rayon Err({e})",
-                cfg.recipe
-            ))
-        }
-        (Err(e), Ok(_)) => {
-            return Err(format!(
-                "recipe {}: rayon Ok but serial Err({e})",
-                cfg.recipe
-            ))
-        }
+    // A typed rejection is conformant.
+    let Ok(c) = Codec::new(cfg).compress(&case.data) else {
+        return Ok(());
     };
     if c.stats.recipe != cfg.recipe {
         return Err(format!(
@@ -427,7 +329,7 @@ pub fn oracle_recipes(case: &Case) -> Result<(), String> {
     }
 
     // Self-description: a decompressor that knows nothing but the bytes.
-    let restored = Codec::decompressor(Parallelism::Serial)
+    let restored = Codec::decompressor()
         .decompress(&c.data)
         .map_err(|e| format!("recipe {}: decompress failed: {e}", cfg.recipe))?;
     if restored.len() != case.data.len() {
@@ -511,10 +413,7 @@ pub fn oracle_recipes(case: &Case) -> Result<(), String> {
             if at < forged.len() {
                 let orig = forged[at];
                 forged[at] = 0xFE;
-                if Codec::decompressor(Parallelism::Serial)
-                    .decompress(&forged)
-                    .is_ok()
-                {
+                if Codec::decompressor().decompress(&forged).is_ok() {
                     return Err(format!(
                         "recipe {}: decoder accepted forged recipe byte at {at}",
                         cfg.recipe

@@ -1,17 +1,13 @@
 //! Exhaustive corruption corpus over one representative stream and archive:
-//! every single-bit flip and every strict-prefix truncation must decode to a
-//! typed error or an agreed-upon value — never a panic. (The fuzz harness
+//! every single-bit flip must decode to a typed error or a value, and every
+//! strict-prefix truncation to a typed error — never a panic. (The fuzz harness
 //! samples these spaces; this test sweeps them completely.)
 
 use ceresz_core::archive::Archive;
-use ceresz_core::{CereszConfig, Codec, ErrorBound, Parallelism, Recipe, StageSpec};
+use ceresz_core::{CereszConfig, Codec, ErrorBound, Recipe, StageSpec};
 
 fn decompress_bytes(bytes: &[u8]) -> Result<Vec<f32>, ceresz_core::CompressError> {
-    Codec::decompressor(Parallelism::Serial).decompress(bytes)
-}
-
-fn decompress_bytes_parallel(bytes: &[u8]) -> Result<Vec<f32>, ceresz_core::CompressError> {
-    Codec::decompressor(Parallelism::Rayon).decompress(bytes)
+    Codec::decompressor().decompress(bytes)
 }
 
 fn sample_stream() -> Vec<u8> {
@@ -55,23 +51,8 @@ fn every_stream_bit_flip_is_safe() {
         for bit in 0..8 {
             let mut m = valid.clone();
             m[byte] ^= 1 << bit;
-            // Must not panic; when both decoders accept, they must agree.
-            let serial = decompress_bytes(&m);
-            let parallel = decompress_bytes_parallel(&m);
-            match (serial, parallel) {
-                (Ok(a), Ok(b)) => assert!(
-                    a.iter()
-                        .map(|v| v.to_bits())
-                        .eq(b.iter().map(|v| v.to_bits())),
-                    "byte {byte} bit {bit}: decoders disagree"
-                ),
-                (Err(_), Err(_)) => {}
-                (s, p) => panic!(
-                    "byte {byte} bit {bit}: serial {:?} vs parallel {:?}",
-                    s.is_ok(),
-                    p.is_ok()
-                ),
-            }
+            // Must not panic.
+            let _ = decompress_bytes(&m);
         }
     }
 }
@@ -85,22 +66,7 @@ fn every_v2_stream_bit_flip_is_safe() {
         for bit in 0..8 {
             let mut m = valid.clone();
             m[byte] ^= 1 << bit;
-            let serial = decompress_bytes(&m);
-            let parallel = decompress_bytes_parallel(&m);
-            match (serial, parallel) {
-                (Ok(a), Ok(b)) => assert!(
-                    a.iter()
-                        .map(|v| v.to_bits())
-                        .eq(b.iter().map(|v| v.to_bits())),
-                    "byte {byte} bit {bit}: decoders disagree"
-                ),
-                (Err(_), Err(_)) => {}
-                (s, p) => panic!(
-                    "byte {byte} bit {bit}: serial {:?} vs parallel {:?}",
-                    s.is_ok(),
-                    p.is_ok()
-                ),
-            }
+            let _ = decompress_bytes(&m);
         }
     }
 }
@@ -123,12 +89,7 @@ fn every_stream_truncation_is_rejected() {
     for cut in 0..valid.len() {
         assert!(
             decompress_bytes(&valid[..cut]).is_err(),
-            "serial decoder accepted a {cut}-byte prefix of a {}-byte stream",
-            valid.len()
-        );
-        assert!(
-            decompress_bytes_parallel(&valid[..cut]).is_err(),
-            "parallel decoder accepted a {cut}-byte prefix of a {}-byte stream",
+            "decoder accepted a {cut}-byte prefix of a {}-byte stream",
             valid.len()
         );
     }
@@ -170,12 +131,7 @@ fn forged_length_fields_are_rejected() {
     for m in conformance::mutate::stream_header_forgeries(&stream, 32) {
         assert!(
             decompress_bytes(&m.bytes).is_err(),
-            "serial decoder accepted: {}",
-            m.what
-        );
-        assert!(
-            decompress_bytes_parallel(&m.bytes).is_err(),
-            "parallel decoder accepted: {}",
+            "decoder accepted: {}",
             m.what
         );
     }

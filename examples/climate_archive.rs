@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example climate_archive`
 
-use ceresz::core::{CereszConfig, Codec, ErrorBound, Parallelism};
+use ceresz::core::{CereszConfig, Codec, ErrorBound};
 use ceresz::data::{generate_field, DatasetId};
 use ceresz::quality::{psnr, ssim_2d, RateDistortionPoint, SsimConfig};
 
@@ -27,7 +27,7 @@ fn main() {
             let c = Codec::new(cfg)
                 .compress(&field.data)
                 .expect("field compresses");
-            let r = Codec::decompressor(Parallelism::Rayon)
+            let r = Codec::decompressor()
                 .decompress(&c.data)
                 .expect("stream decompresses");
             let point = RateDistortionPoint::new(

@@ -74,9 +74,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ceresz::core::stream::StreamHeader;
-use ceresz::core::{
-    max_abs_error, verify_error_bound, CereszConfig, Codec, ErrorBound, Parallelism, Recipe,
-};
+use ceresz::core::{max_abs_error, verify_error_bound, CereszConfig, Codec, ErrorBound, Recipe};
 use ceresz::telemetry::Recorder;
 use ceresz::wse::{profile_compression_with, SimOptions, StrategyKind};
 
@@ -409,7 +407,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     };
     let restored = {
         let _span = recorder.wall_span("decompress");
-        Codec::decompressor(Parallelism::Rayon)
+        Codec::decompressor()
             .decompress(&bytes)
             .map_err(|e| e.to_string())?
     };
@@ -1000,7 +998,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let orig = read_f32(orig_path)?;
     let bytes = std::fs::read(csz_path).map_err(|e| format!("reading {csz_path}: {e}"))?;
     let header = StreamHeader::read(&bytes).map_err(|e| e.to_string())?;
-    let restored = Codec::decompressor(Parallelism::Rayon)
+    let restored = Codec::decompressor()
         .decompress(&bytes)
         .map_err(|e| e.to_string())?;
     if restored.len() != orig.len() {

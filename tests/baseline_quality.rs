@@ -78,7 +78,7 @@ fn prequantization_family_shares_reconstructions() {
     let ceresz = ceresz::core::Codec::new(CereszConfig::new(bound))
         .compress(data)
         .unwrap();
-    let ceresz_rec = ceresz::core::Codec::decompressor(ceresz::core::Parallelism::Serial)
+    let ceresz_rec = ceresz::core::Codec::decompressor()
         .decompress(&ceresz.data)
         .unwrap();
     let szp = Szp::default();

@@ -1,7 +1,7 @@
 //! Cross-crate end-to-end tests: synthetic datasets through the host
 //! compressor, every WSE mapping strategy, and the simulated decompressor.
 
-use ceresz::core::{verify_error_bound, CereszConfig, Codec, ErrorBound, Parallelism};
+use ceresz::core::{verify_error_bound, CereszConfig, Codec, ErrorBound};
 use ceresz::data::{generate_field, DatasetId, ALL_DATASETS};
 use ceresz::wse::{execute, execute_decompress, SimOptions, StrategyKind};
 
@@ -35,9 +35,7 @@ fn every_dataset_roundtrips_on_every_strategy() {
                 "{ds:?} {strategy:?} diverged from the host reference"
             );
         }
-        let restored = Codec::decompressor(Parallelism::Serial)
-            .decompress(&reference.data)
-            .unwrap();
+        let restored = Codec::decompressor().decompress(&reference.data).unwrap();
         assert!(
             verify_error_bound(&data, &restored, reference.stats.eps),
             "{ds:?} bound violated"
@@ -51,9 +49,7 @@ fn simulated_decompression_matches_host_on_all_datasets() {
         let data = sample(ds, 32 * 40 + 17);
         let cfg = CereszConfig::new(ErrorBound::Rel(1e-3));
         let c = Codec::new(cfg).compress(&data).unwrap();
-        let host = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let host = Codec::decompressor().decompress(&c.data).unwrap();
         let rows = StrategyKind::RowParallel { rows: 3 };
         let sim = execute_decompress(rows, &c, &SimOptions::default()).unwrap();
         assert_eq!(sim.restored, host, "{ds:?}");
@@ -108,9 +104,7 @@ fn quality_metrics_improve_with_tighter_bounds() {
         let c = Codec::new(CereszConfig::new(ErrorBound::Rel(rel)))
             .compress(&field.data)
             .unwrap();
-        let r = Codec::decompressor(Parallelism::Serial)
-            .decompress(&c.data)
-            .unwrap();
+        let r = Codec::decompressor().decompress(&c.data).unwrap();
         let p = ceresz::quality::psnr(&field.data, &r);
         assert!(
             p > last_psnr,

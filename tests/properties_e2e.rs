@@ -1,6 +1,6 @@
 //! Workspace-level property tests: arbitrary data through the full stack.
 
-use ceresz::core::{verify_error_bound, CereszConfig, Codec, ErrorBound, Parallelism};
+use ceresz::core::{verify_error_bound, CereszConfig, Codec, ErrorBound};
 use ceresz::wse::{execute, SimOptions, StrategyKind};
 use proptest::prelude::*;
 
@@ -25,7 +25,7 @@ proptest! {
         };
         let run = execute(strategy, &data, &cfg, &SimOptions::default()).unwrap();
         prop_assert_eq!(&run.compressed.data, &reference.data);
-        let restored = Codec::decompressor(Parallelism::Serial)
+        let restored = Codec::decompressor()
             .decompress(&run.compressed.data)
             .unwrap();
         prop_assert!(verify_error_bound(&data, &restored, reference.stats.eps));
