@@ -258,12 +258,26 @@ impl Stage for Lorenzo2dStage {
 
     fn decode(&self, input: Plane, ctx: &StageCtx) -> Result<Plane, CompressError> {
         let deltas = input.into_i64()?;
+        // The count comes from the stream header: check it against the
+        // recipe's dimensions, as encode does, before sizing anything by it.
+        let n = self
+            .rows
+            .checked_mul(self.cols)
+            .ok_or(CompressError::DimsOverflow)?;
+        if ctx.count != n {
+            return Err(CompressError::DimsMismatch {
+                dims_product: n,
+                len: ctx.count,
+            });
+        }
         let t = self.tile;
         let (tiles_r, tiles_c) = self.n_tiles();
-        if deltas.len() != tiles_r * tiles_c * t * t {
+        let tiled = [tiles_c, t, t]
+            .into_iter()
+            .try_fold(tiles_r, usize::checked_mul);
+        if tiled != Some(deltas.len()) {
             return Err(CompressError::Truncated);
         }
-        let n = self.rows * self.cols;
         // Re-pad to whole blocks so decode is the exact inverse of encode's
         // input plane (the padding PreQuantize added was all zeros).
         let mut out = vec![0i64; ctx.padded_len().max(n)];
@@ -366,7 +380,8 @@ impl Stage for MantissaSplitStage {
     fn decode(&self, input: Plane, ctx: &StageCtx) -> Result<Plane, CompressError> {
         let bytes = input.into_bytes()?;
         let n = ctx.count;
-        if bytes.len() != 4 * n {
+        // Divide rather than multiply: the count is the header's word.
+        if bytes.len() % 4 != 0 || bytes.len() / 4 != n {
             return Err(CompressError::Truncated);
         }
         let mut out = vec![0f32; n];
@@ -410,7 +425,7 @@ impl Stage for Bf16Stage {
 
     fn decode(&self, input: Plane, ctx: &StageCtx) -> Result<Plane, CompressError> {
         let bytes = input.into_bytes()?;
-        if bytes.len() != 2 * ctx.count {
+        if bytes.len() % 2 != 0 || bytes.len() / 2 != ctx.count {
             return Err(CompressError::Truncated);
         }
         let out = bytes

@@ -78,10 +78,10 @@ fn patch(valid: &[u8], offset: usize, value: &[u8], what: String) -> Option<Muta
     })
 }
 
-/// Targeted stream-header forgeries that a decoder must reject *without*
-/// allocating output sized by the forged fields: absurd element counts,
-/// off-contract block sizes, non-positive or non-finite ε.
-pub fn stream_header_forgeries(valid: &[u8], block_size: usize) -> Vec<Mutation> {
+/// Forged element counts that a decoder must reject *without* allocating
+/// output sized by them: absurd counts, and a plausible inflation. The
+/// count sits at the same offset in v1 and v2 stream headers.
+pub fn count_forgeries(valid: &[u8], block_size: usize) -> Vec<Mutation> {
     let mut out = Vec::new();
     // count: u64 LE at offset 10.
     for count in [u64::MAX, u64::MAX / 2, 1u64 << 40] {
@@ -101,6 +101,14 @@ pub fn stream_header_forgeries(valid: &[u8], block_size: usize) -> Vec<Mutation>
         &inflated.to_le_bytes(),
         format!("forged count = {inflated} (inflated)"),
     ));
+    out
+}
+
+/// Targeted stream-header forgeries that a decoder must reject *without*
+/// allocating output sized by the forged fields: absurd element counts,
+/// off-contract block sizes, non-positive or non-finite ε.
+pub fn stream_header_forgeries(valid: &[u8], block_size: usize) -> Vec<Mutation> {
+    let mut out = count_forgeries(valid, block_size);
     // block_size: u32 LE at offset 6.
     for bs in [0u32, 7, 1 << 21, u32::MAX] {
         out.extend(patch(

@@ -314,7 +314,8 @@ pub fn oracle_baselines(case: &Case) -> Result<(), String> {
 /// self-describing (a fresh decompressor using only the recorded recipe
 /// bytes restores the field — bit-exactly for lossless recipes, within ε
 /// otherwise), the archive container records the recipe per field, and
-/// corrupting the recipe bytes yields a typed error, never a panic.
+/// corrupting the recipe bytes or forging the element count yields a typed
+/// error, never a panic.
 pub fn oracle_recipes(case: &Case) -> Result<(), String> {
     let cfg = case.recipe_config();
     // A typed rejection is conformant.
@@ -392,9 +393,14 @@ pub fn oracle_recipes(case: &Case) -> Result<(), String> {
         ));
     }
 
-    // Corrupting the recipe bytes of a v2 stream must be a typed rejection,
-    // and the wafer's decompression kernels must refuse the stream.
+    // Corrupting the recipe bytes or the element count of a v2 stream must
+    // be a typed rejection (a forged count reaches the stage decoders, which
+    // canonical streams never run), and the wafer's decompression kernels
+    // must refuse the stream.
     if !cfg.recipe.is_canonical() {
+        for m in mutate::count_forgeries(&c.data, case.block_size) {
+            check_stream_mutation(&m).map_err(|e| format!("recipe {}: {e}", cfg.recipe))?;
+        }
         if !matches!(
             execute_decompress(case.strategies[0], &c, &SimOptions::default()),
             Err(WseError::DoesNotFit { .. })

@@ -1,7 +1,9 @@
 //! Exhaustive corruption corpus over one representative stream and archive:
 //! every single-bit flip must decode to a typed error or a value, and every
-//! strict-prefix truncation to a typed error — never a panic. (The fuzz harness
-//! samples these spaces; this test sweeps them completely.)
+//! strict-prefix truncation to a typed error — never a panic. Forged element
+//! counts in v2 streams must reach each stage decoder that sizes its output
+//! by the count and come back as typed errors. (The fuzz harness samples
+//! these spaces; this test sweeps them completely.)
 
 use ceresz_core::archive::Archive;
 use ceresz_core::{CereszConfig, Codec, ErrorBound, Recipe, StageSpec};
@@ -143,4 +145,47 @@ fn forged_length_fields_are_rejected() {
             m.what
         );
     }
+}
+
+/// Every forged element count in a v2 stream of `data` under `recipe` —
+/// among them `u64::MAX / 2` and `2^40` — must be a typed error: no
+/// overflow panic, and no allocation sized by the forged count.
+fn assert_forged_counts_rejected(recipe: &str, block_size: usize, data: &[f32], eps: f64) {
+    let cfg = CereszConfig::new(ErrorBound::Abs(eps))
+        .with_block_size(block_size)
+        .with_recipe(Recipe::parse(recipe).unwrap());
+    let stream = Codec::new(cfg).compress(data).unwrap().data;
+    assert_eq!(decompress_bytes(&stream).unwrap().len(), data.len());
+    let forgeries = conformance::mutate::count_forgeries(&stream, block_size);
+    for count in [u64::MAX / 2, 1 << 40] {
+        let what = format!("forged count = {count}");
+        assert!(forgeries.iter().any(|m| m.what == what), "{what} missing");
+    }
+    for m in forgeries {
+        assert!(
+            decompress_bytes(&m.bytes).is_err(),
+            "{recipe}: decoder accepted {}",
+            m.what
+        );
+    }
+}
+
+fn smooth(n: usize) -> Vec<f32> {
+    (0..n).map(|i| (i as f32 * 0.07).sin() * 3.0).collect()
+}
+
+#[test]
+fn forged_counts_are_rejected_by_the_mantissa_split_decoder() {
+    assert_forged_counts_rejected("mantissa,huffman", 32, &smooth(100), 1e-3);
+}
+
+#[test]
+fn forged_counts_are_rejected_by_the_bf16_decoder() {
+    assert_forged_counts_rejected("bf16,huffman", 32, &smooth(100), 0.1);
+}
+
+#[test]
+fn forged_counts_are_rejected_by_the_2d_lorenzo_decoder() {
+    // 8×8 tiles, one tile per 64-element block, over a 12×20 field.
+    assert_forged_counts_rejected("quantize,lorenzo2:12x20x8,fixed", 64, &smooth(240), 1e-3);
 }

@@ -1,5 +1,4 @@
-//! Fabric routing: colors, per-PE routing rules, path resolution, and link
-//! occupancy tracking.
+//! Fabric routing: colors, per-PE routing rules and the one route walk.
 //!
 //! A **color** is a logical channel through the fabric (§2.1: "To route a
 //! wavelet through the fabric, the programmer needs to define a logical
@@ -7,10 +6,15 @@
 //! every color each PE configures an input direction and output direction(s);
 //! a stream injected on a color follows the configured directions hop by hop
 //! until a PE routes it to its RAMP (delivery).
+//!
+//! This module is the one place a rule is encoded ([`PackedRule`], one
+//! byte) and the one place a route is walked ([`RouteWalk`]). The simulator
+//! checks a route with the walk on a PE's first send on a color and then
+//! follows the immutable table hop by hop; the static verifier walks the
+//! same encoding over a manifest's declarations.
 
 use crate::error::SimError;
 use crate::geom::{Direction, PeId};
-use crate::time::Time;
 
 /// Number of routable colors on the CS-2 fabric.
 pub const MAX_COLORS: u8 = 24;
@@ -122,88 +126,225 @@ impl std::fmt::Debug for OutputSet {
     }
 }
 
-/// One hop along a resolved color path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hop {
-    /// PE the wavelets leave.
-    pub from: PeId,
-    /// PE the wavelets enter.
-    pub to: PeId,
-    /// Direction of travel (`from` → `to`), precomputed at resolution so the
-    /// per-hop link-clock update never re-derives it from coordinates.
-    pub dir: Direction,
-}
-
-/// The full path of a stream: zero or more hops then delivery at `dest`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedPath {
-    /// Traversed links in order.
-    pub hops: Vec<Hop>,
-    /// PE whose RAMP receives the stream.
-    pub dest: PeId,
-}
-
-/// A routing rule packed into one `u16` for the dense fabric table.
+/// A [`RouteRule`] in one byte: the one encoding every rule table uses.
 ///
-/// Bit layout: bit 15 = rule present; bits 0..=4 = output-direction mask in
-/// [`Direction::index`] order (N, S, E, W, Ramp); bits 5..=7 = input code
-/// (0 = originates at the RAMP, `1 + dir.index()` otherwise). One cache line
-/// holds the full 24-color rule row of four PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct PackedRule(u16);
+/// Bits 0..=4 are the output mask in [`Direction::index`] order (N, S, E,
+/// W, Ramp); bits 5..=7 are the input code — 0 when the stream originates at
+/// the PE's RAMP, `1 + dir.index()` when it arrives from `dir`. No rule has
+/// input code 7, so [`PackedRule::VACANT`] marks an empty slot and the
+/// encoding is lossless. A PE's 24-color rule row is 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedRule(u8);
 
 impl PackedRule {
-    const PRESENT: u16 = 1 << 15;
-    const NON_RAMP_MASK: u16 = 0b0_1111;
-    const OUTPUT_MASK: u16 = 0b1_1111;
+    /// An empty slot: no rule installed.
+    pub const VACANT: Self = Self(u8::MAX);
+    const RAMP: u8 = 1 << Direction::Ramp.index();
+    const NEIGHBORS: u8 = Self::RAMP - 1;
 
-    fn pack(rule: RouteRule) -> Self {
-        let input_code = match rule.input {
+    /// Pack `rule`.
+    #[must_use]
+    pub const fn new(rule: RouteRule) -> Self {
+        let input = match rule.input {
             None => 0,
-            Some(dir) => 1 + dir.index() as u16,
+            Some(dir) => 1 + dir.index() as u8,
         };
-        Self(Self::PRESENT | u16::from(rule.outputs.0) | (input_code << 5))
+        Self((input << 5) | rule.outputs.0)
     }
 
-    pub(crate) fn present(self) -> bool {
-        self.0 & Self::PRESENT != 0
+    /// Whether the slot holds no rule.
+    #[must_use]
+    pub fn is_vacant(self) -> bool {
+        self == Self::VACANT
     }
 
-    /// Accepted input direction (`None` = originates at this PE's RAMP).
-    pub(crate) fn input(self) -> Option<Direction> {
-        match (self.0 >> 5) & 0b111 {
+    /// The declarative rule, `None` for a vacant slot.
+    #[must_use]
+    pub fn unpack(self) -> Option<RouteRule> {
+        (!self.is_vacant()).then(|| RouteRule {
+            input: self.input(),
+            outputs: self.outputs(),
+        })
+    }
+
+    /// Output directions of a present rule.
+    #[must_use]
+    pub fn outputs(self) -> OutputSet {
+        OutputSet(self.0 & (Self::RAMP | Self::NEIGHBORS))
+    }
+
+    /// Accepted input direction of a present rule (`None` = originates at
+    /// this PE's RAMP).
+    #[must_use]
+    pub fn input(self) -> Option<Direction> {
+        match self.0 >> 5 {
             0 => None,
-            code => Some(Direction::from_index(code as usize - 1)),
+            code => Some(Direction::from_index(usize::from(code) - 1)),
         }
     }
 
-    /// The output set.
-    pub(crate) fn outputs(self) -> OutputSet {
-        OutputSet((self.0 & Self::OUTPUT_MASK) as u8)
+    /// Whether a present rule delivers to its PE's RAMP.
+    #[must_use]
+    pub fn delivers(self) -> bool {
+        self.0 & Self::RAMP != 0
     }
 
-    /// Reconstruct the declarative rule.
-    fn unpack(self) -> RouteRule {
-        RouteRule {
-            input: self.input(),
-            outputs: self.outputs(),
+    /// The one neighbor a present rule forwards to: `None` when it
+    /// delivers, has no output, or forwards to several neighbors.
+    #[must_use]
+    pub fn forward(self) -> Option<Direction> {
+        let neighbors = self.0 & Self::NEIGHBORS;
+        (!self.delivers() && neighbors.is_power_of_two())
+            .then(|| Direction::from_index(neighbors.trailing_zeros() as usize))
+    }
+}
+
+/// Why a route walk stopped short of a RAMP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteFault {
+    /// The stream reached this PE, which has no rule on the color.
+    NoRule(PeId),
+    /// The stream arrived at `at` from `arrived_from`, but the rule there
+    /// accepts `accepts`.
+    Mismatch {
+        /// The PE with the conflicting rule.
+        at: PeId,
+        /// Where the stream came from (`None` = the PE's own RAMP).
+        arrived_from: Option<Direction>,
+        /// The rule's input.
+        accepts: Option<Direction>,
+    },
+    /// The rule at this PE has no output.
+    NoOutput(PeId),
+    /// The rule at this PE forwards to more than one neighbor; streams are
+    /// unicast (the CereSZ mapping relays explicitly instead).
+    Multicast(PeId),
+    /// The rule at this PE forwards toward the direction off the mesh.
+    OffMesh(PeId, Direction),
+    /// The walk crossed more PEs than its bound: the route cycles without
+    /// reaching a RAMP.
+    Loop,
+}
+
+impl RouteFault {
+    /// The simulator's error for a stream sent from `src` on `color` whose
+    /// walk hit this fault.
+    #[must_use]
+    pub fn sim_error(self, src: PeId, color: Color) -> SimError {
+        match self {
+            Self::NoRule(pe) | Self::NoOutput(pe) => SimError::NoRoute { pe, color },
+            Self::Mismatch { at, .. } => SimError::RouteMismatch { pe: at, color },
+            Self::Multicast(pe) => SimError::MulticastUnsupported { pe, color },
+            Self::OffMesh(pe, _) => SimError::RouteOffMesh { pe, color },
+            Self::Loop => SimError::RoutingLoop { pe: src, color },
         }
     }
 }
 
-/// The routing fabric: per-(PE, color) rules plus per-link busy bookkeeping.
+/// The hop-by-hop walk of one stream along a rule table — the only route
+/// walk, shared by the simulator and the static verifier.
 ///
-/// Both tables are flat row-major vectors — `rules` strided by
-/// [`COLOR_SLOTS`] per PE, `link_free_at` strided by `LINK_SLOTS` per PE —
-/// so the hot path of `resolve_path` / `schedule_stream` is pure index
-/// arithmetic with no hashing.
+/// Yields every PE whose rule accepts the stream, source first; a sound
+/// route's last PE delivers it to its RAMP. [`RouteWalk::outcome`] then
+/// says where the walk ended. `rule_at` reads the table on the walk's color
+/// ([`PackedRule::VACANT`] where nothing is installed). `max_pes` bounds
+/// the walk so a route that cycles without delivering ends as
+/// [`RouteFault::Loop`]: any bound above the number of PEs holding a rule on
+/// the color is exact, since a longer walk has crossed one PE twice and
+/// repeats from there.
+pub struct RouteWalk<F> {
+    rows: usize,
+    cols: usize,
+    rule_at: F,
+    /// The PE the stream reaches next, and the direction it arrives from.
+    at: (PeId, Option<Direction>),
+    left: usize,
+    end: Option<Result<PeId, RouteFault>>,
+}
+
+impl<F: Fn(PeId) -> PackedRule> RouteWalk<F> {
+    /// Walk a stream entering `src` from `from` (`None` = sent by `src`
+    /// itself) on a `rows × cols` mesh.
+    pub fn new(
+        (rows, cols): (usize, usize),
+        rule_at: F,
+        src: PeId,
+        from: Option<Direction>,
+        max_pes: usize,
+    ) -> Self {
+        Self {
+            rows,
+            cols,
+            rule_at,
+            at: (src, from),
+            left: max_pes,
+            end: None,
+        }
+    }
+
+    /// Where the walk ends — the delivering PE, or the fault that stopped
+    /// it — walking whatever iteration left.
+    pub fn outcome(mut self) -> Result<PeId, RouteFault> {
+        for _ in self.by_ref() {}
+        self.end.expect("an exhausted walk has ended")
+    }
+}
+
+impl<F: Fn(PeId) -> PackedRule> Iterator for RouteWalk<F> {
+    type Item = PeId;
+
+    fn next(&mut self) -> Option<PeId> {
+        if self.end.is_some() {
+            return None;
+        }
+        let (pe, arrived_from) = self.at;
+        let Some(left) = self.left.checked_sub(1) else {
+            self.end = Some(Err(RouteFault::Loop));
+            return None;
+        };
+        self.left = left;
+        let rule = (self.rule_at)(pe);
+        if rule.is_vacant() {
+            self.end = Some(Err(RouteFault::NoRule(pe)));
+            return None;
+        }
+        if rule.input() != arrived_from {
+            self.end = Some(Err(RouteFault::Mismatch {
+                at: pe,
+                arrived_from,
+                accepts: rule.input(),
+            }));
+            return None;
+        }
+        self.end = if rule.delivers() {
+            Some(Ok(pe))
+        } else if let Some(dir) = rule.forward() {
+            match pe.neighbor(dir, self.rows, self.cols) {
+                Some(next) => {
+                    self.at = (next, Some(dir.opposite()));
+                    None
+                }
+                None => Some(Err(RouteFault::OffMesh(pe, dir))),
+            }
+        } else if rule.0 & PackedRule::NEIGHBORS == 0 {
+            Some(Err(RouteFault::NoOutput(pe)))
+        } else {
+            Some(Err(RouteFault::Multicast(pe)))
+        };
+        Some(pe)
+    }
+}
+
+/// The routing fabric: one [`PackedRule`] per (PE, color).
+///
+/// The table is a flat row-major vector strided by [`COLOR_SLOTS`] per PE,
+/// so a hop of a walk is one indexed byte read with no hashing. Link
+/// occupancy lives with the engine's shards, which own the links leaving
+/// their PEs.
 #[derive(Debug, Default)]
 pub struct Fabric {
     /// `rules[pe.index(cols) * COLOR_SLOTS + color.index()]`.
     rules: Vec<PackedRule>,
-    /// `link_free_at[pe.index(cols) * LINK_SLOTS + dir.index()]`: earliest
-    /// instant the outgoing link of `pe` toward `dir` accepts a new stream.
-    link_free_at: Vec<Time>,
     rows: usize,
     cols: usize,
 }
@@ -213,8 +354,7 @@ impl Fabric {
     #[must_use]
     pub fn new(rows: usize, cols: usize) -> Self {
         Self {
-            rules: vec![PackedRule::default(); rows * cols * COLOR_SLOTS],
-            link_free_at: vec![Time::ZERO; rows * cols * LINK_SLOTS],
+            rules: vec![PackedRule::VACANT; rows * cols * COLOR_SLOTS],
             rows,
             cols,
         }
@@ -240,17 +380,22 @@ impl Fabric {
             self.cols
         );
         let slot = self.rule_slot(pe, color);
-        self.rules[slot] = PackedRule::pack(rule);
+        self.rules[slot] = PackedRule::new(rule);
+    }
+
+    /// The packed rule of `(pe, color)`, vacant off the mesh.
+    fn packed(&self, pe: PeId, color: Color) -> PackedRule {
+        if self.on_mesh(pe) {
+            self.rules[self.rule_slot(pe, color)]
+        } else {
+            PackedRule::VACANT
+        }
     }
 
     /// Look up a rule, reconstructed from the packed table.
     #[must_use]
     pub fn rule(&self, pe: PeId, color: Color) -> Option<RouteRule> {
-        if !self.on_mesh(pe) {
-            return None;
-        }
-        let packed = self.rules[self.rule_slot(pe, color)];
-        packed.present().then(|| packed.unpack())
+        self.packed(pe, color).unpack()
     }
 
     /// Iterate over every installed rule in (row-major PE, color) order.
@@ -260,7 +405,7 @@ impl Fabric {
         self.rules
             .iter()
             .enumerate()
-            .filter(|(_, packed)| packed.present())
+            .filter(|(_, packed)| !packed.is_vacant())
             .map(|(slot, &packed)| {
                 let pe_index = slot / COLOR_SLOTS;
                 (
@@ -270,99 +415,42 @@ impl Fabric {
             })
     }
 
-    /// Resolve the path of a stream injected at `src` on `color`.
-    ///
-    /// `from` is the direction the stream arrives from at `src` (`None` when
-    /// it originates at `src`'s RAMP). Follows output directions until a PE
-    /// whose rule includes `Ramp`; that PE is the destination. Multicast
-    /// (more than one non-RAMP output) is not supported by this simulator —
-    /// the CereSZ mapping never needs it, PEs relay explicitly instead.
-    pub fn resolve_path(
-        &self,
-        src: PeId,
-        color: Color,
-        from: Option<Direction>,
-    ) -> Result<ResolvedPath, SimError> {
-        let mut hops = Vec::new();
-        let mut cur = src;
-        let mut arrived_from = from;
-        // A path can be at most rows*cols hops in a sane configuration.
-        let max_hops = self.rows * self.cols + 1;
-        for _ in 0..max_hops {
-            if !self.on_mesh(cur) {
-                return Err(SimError::NoRoute { pe: cur, color });
-            }
-            let rule = self.rules[self.rule_slot(cur, color)];
-            if !rule.present() {
-                return Err(SimError::NoRoute { pe: cur, color });
-            }
-            if rule.input() != arrived_from {
-                return Err(SimError::RouteMismatch { pe: cur, color });
-            }
-            if rule.outputs().contains(Direction::Ramp) {
-                return Ok(ResolvedPath { hops, dest: cur });
-            }
-            let non_ramp = rule.0 & PackedRule::NON_RAMP_MASK;
-            if non_ramp == 0 {
-                return Err(SimError::NoRoute { pe: cur, color });
-            }
-            if non_ramp.count_ones() > 1 {
-                return Err(SimError::MulticastUnsupported { pe: cur, color });
-            }
-            let dir = Direction::from_index(non_ramp.trailing_zeros() as usize);
-            let next = cur
-                .neighbor(dir, self.rows, self.cols)
-                .ok_or(SimError::RouteOffMesh { pe: cur, color })?;
-            hops.push(Hop {
-                from: cur,
-                to: next,
-                dir,
-            });
-            arrived_from = Some(dir.opposite());
-            cur = next;
-        }
-        Err(SimError::RoutingLoop { pe: src, color })
+    /// Walk the stream `src` sends on `color` (see [`RouteWalk`]).
+    pub fn walk(&self, src: PeId, color: Color) -> RouteWalk<impl Fn(PeId) -> PackedRule + '_> {
+        RouteWalk::new(
+            (self.rows, self.cols),
+            move |pe| self.packed(pe, color),
+            src,
+            None,
+            self.rows * self.cols + 1,
+        )
     }
 
-    /// Schedule a stream of `n` wavelets along `path` starting at `start`.
-    ///
-    /// Returns `(src_done, delivered)`: the instant the last wavelet leaves
-    /// the source, and the instant the last wavelet reaches the destination
-    /// RAMP. Links are occupied for `n` cycles each with 1 cycle latency per
-    /// hop; contention with earlier streams delays the start on each link.
-    pub fn schedule_stream(&mut self, path: &ResolvedPath, n: usize, start: Time) -> (Time, Time) {
-        let n = Time::from_cycles(n as u64);
-        let one = Time::from_cycles(1);
-        let mut head = start; // when the first wavelet can enter the next link
-        let cols = self.cols;
-        for hop in &path.hops {
-            let slot = &mut self.link_free_at[hop.from.index(cols) * LINK_SLOTS + hop.dir.index()];
-            let link_start = head.max(*slot);
-            *slot = link_start + n;
-            head = link_start + one; // per-hop latency for the head wavelet
-        }
-        let src_done = start + n;
-        let delivered = head + n; // last wavelet arrives n cycles after head
-        (src_done, delivered.max(src_done))
+    /// The hop a checked route takes out of `pe` on `color` — direction and
+    /// neighbor — or `None` where it delivers. Only for PEs on a route whose
+    /// walk delivered: each of their rules forwards to one on-mesh neighbor
+    /// or delivers.
+    pub(crate) fn hop(&self, pe: PeId, color: Color) -> Option<(Direction, PeId)> {
+        let dir = self.rules[self.rule_slot(pe, color)].forward()?;
+        let next = pe.neighbor(dir, self.rows, self.cols);
+        Some((dir, next.expect("a checked route stays on the mesh")))
     }
 
-    /// Send-origin PEs (rules with `input: None`) whose resolved route on
-    /// `color` delivers to `dest`'s RAMP, in row-major order. Used to attach
-    /// static routing context to deadlock diagnostics: these are the only
-    /// fabric senders that could ever satisfy a receive at `dest`.
+    /// Send-origin PEs (rules with `input: None`) whose route on `color`
+    /// delivers to `dest`'s RAMP, in row-major order. Used to attach static
+    /// routing context to deadlock diagnostics: these are the only fabric
+    /// senders that could ever satisfy a receive at `dest`.
     #[must_use]
     pub fn origins_reaching(&self, dest: PeId, color: Color) -> Vec<PeId> {
         // Scanning the dense table in PE-index order yields row-major order
         // directly — no sort needed.
         (0..self.rows * self.cols)
-            .filter_map(|pe_index| {
-                let rule = self.rules[pe_index * COLOR_SLOTS + color.index()];
-                if !rule.present() || rule.input().is_some() {
-                    return None;
-                }
-                let pe = PeId::new(pe_index / self.cols, pe_index % self.cols);
-                let path = self.resolve_path(pe, color, None).ok()?;
-                (path.dest == dest).then_some(pe)
+            .map(|pe_index| PeId::new(pe_index / self.cols, pe_index % self.cols))
+            .filter(|&pe| {
+                let rule = self.packed(pe, color);
+                !rule.is_vacant()
+                    && rule.input().is_none()
+                    && self.walk(pe, color).outcome() == Ok(dest)
             })
             .collect()
     }
@@ -409,10 +497,11 @@ mod tests {
     #[test]
     fn every_rule_round_trips_through_the_packed_table() {
         // All 32 output sets (empty, single, multicast, with and without the
-        // RAMP) under all six inputs come back exactly, and print their
-        // outputs as a list in N/S/E/W/Ramp order.
+        // RAMP) under all six inputs come back exactly, never read as
+        // vacant, and print their outputs as a list in N/S/E/W/Ramp order.
         let mut f = Fabric::new(1, 1);
         let (pe, c) = (PeId::new(0, 0), Color::new(9));
+        assert_eq!(f.rule(pe, c), None);
         let inputs = [None]
             .into_iter()
             .chain((0..5).map(|i| Some(Direction::from_index(i))));
@@ -424,6 +513,7 @@ mod tests {
                     .collect();
                 let rule = RouteRule::new(input, &dirs);
                 assert_eq!(rule.outputs.iter().collect::<Vec<_>>(), dirs);
+                assert!(!PackedRule::new(rule).is_vacant(), "{rule:?}");
                 f.set_rule(pe, c, rule);
                 assert_eq!(f.rule(pe, c), Some(rule), "{rule:?}");
                 let debug = format!("RouteRule {{ input: {input:?}, outputs: {dirs:?} }}");
@@ -436,6 +526,15 @@ mod tests {
             RouteRule::new(None, &[Direction::East, Direction::Ramp])
         );
         assert_eq!(RouteRule::new(None, &[]).outputs, OutputSet::default());
+    }
+
+    #[test]
+    fn forward_names_the_single_neighbor_of_a_non_delivering_rule() {
+        let fwd = |outs: &[Direction]| PackedRule::new(RouteRule::new(None, outs)).forward();
+        assert_eq!(fwd(&[Direction::South]), Some(Direction::South));
+        assert_eq!(fwd(&[Direction::East, Direction::Ramp]), None);
+        assert_eq!(fwd(&[Direction::East, Direction::West]), None);
+        assert_eq!(fwd(&[]), None);
     }
 
     #[test]
@@ -456,9 +555,9 @@ mod tests {
         let c = Color::new(0);
         f.set_rule(PeId::new(0, 0), c, east_rule(None));
         f.set_rule(PeId::new(0, 1), c, ramp_rule(Some(Direction::West)));
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        assert_eq!(p.dest, PeId::new(0, 1));
-        assert_eq!(p.hops.len(), 1);
+        let pes: Vec<PeId> = f.walk(PeId::new(0, 0), c).collect();
+        assert_eq!(pes, [PeId::new(0, 0), PeId::new(0, 1)]);
+        assert_eq!(f.walk(PeId::new(0, 0), c).outcome(), Ok(PeId::new(0, 1)));
     }
 
     #[test]
@@ -466,29 +565,62 @@ mod tests {
         let mut f = Fabric::new(1, 5);
         let c = Color::new(3);
         f.route_east_chain(0, 0, 4, c);
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        assert_eq!(p.dest, PeId::new(0, 4));
-        assert_eq!(p.hops.len(), 4);
+        assert_eq!(f.walk(PeId::new(0, 0), c).count(), 5);
+        assert_eq!(f.walk(PeId::new(0, 0), c).outcome(), Ok(PeId::new(0, 4)));
+        // The hops a checked route takes, as the engine follows them.
+        assert_eq!(
+            f.hop(PeId::new(0, 3), c),
+            Some((Direction::East, PeId::new(0, 4)))
+        );
+        assert_eq!(f.hop(PeId::new(0, 4), c), None);
+    }
+
+    /// The fault a stream sent by `src` hits, with the simulator's error.
+    fn fault(f: &Fabric, src: PeId, c: Color) -> (RouteFault, SimError) {
+        let fault = f.walk(src, c).outcome().unwrap_err();
+        (fault, fault.sim_error(src, c))
     }
 
     #[test]
     fn missing_rule_is_error() {
         let f = Fabric::new(1, 2);
-        assert!(matches!(
-            f.resolve_path(PeId::new(0, 0), Color::new(0), None),
-            Err(SimError::NoRoute { .. })
-        ));
+        let (pe, c) = (PeId::new(0, 0), Color::new(0));
+        assert_eq!(
+            fault(&f, pe, c),
+            (RouteFault::NoRule(pe), SimError::NoRoute { pe, color: c })
+        );
     }
 
     #[test]
     fn route_off_mesh_is_error() {
         let mut f = Fabric::new(1, 1);
-        let c = Color::new(0);
-        f.set_rule(PeId::new(0, 0), c, east_rule(None));
-        assert!(matches!(
-            f.resolve_path(PeId::new(0, 0), c, None),
-            Err(SimError::RouteOffMesh { .. })
-        ));
+        let (pe, c) = (PeId::new(0, 0), Color::new(0));
+        f.set_rule(pe, c, east_rule(None));
+        assert_eq!(
+            fault(&f, pe, c),
+            (
+                RouteFault::OffMesh(pe, Direction::East),
+                SimError::RouteOffMesh { pe, color: c }
+            )
+        );
+    }
+
+    #[test]
+    fn multicast_rule_is_error() {
+        let mut f = Fabric::new(2, 2);
+        let (pe, c) = (PeId::new(0, 0), Color::new(1));
+        f.set_rule(
+            pe,
+            c,
+            RouteRule::new(None, &[Direction::East, Direction::South]),
+        );
+        assert_eq!(
+            fault(&f, pe, c),
+            (
+                RouteFault::Multicast(pe),
+                SimError::MulticastUnsupported { pe, color: c }
+            )
+        );
     }
 
     #[test]
@@ -503,33 +635,8 @@ mod tests {
             RouteRule::new(Some(Direction::West), &[Direction::West]),
         );
         // PE 0 expects input None but arrives from East → mismatch is also
-        // acceptable; either way resolution must fail, not hang.
-        assert!(f.resolve_path(PeId::new(0, 0), c, None).is_err());
-    }
-
-    #[test]
-    fn stream_timing_no_contention() {
-        let mut f = Fabric::new(1, 3);
-        let c = Color::new(1);
-        f.route_east_chain(0, 0, 2, c);
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        let (src_done, delivered) = f.schedule_stream(&p, 32, Time::ZERO);
-        assert_eq!(src_done, Time::from_cycles(32));
-        // Head reaches dest after 2 hops (2 cycles); last wavelet 32 later.
-        assert_eq!(delivered, Time::from_cycles(34));
-    }
-
-    #[test]
-    fn streams_serialize_on_shared_link() {
-        let mut f = Fabric::new(1, 2);
-        let c = Color::new(0);
-        f.route_east_chain(0, 0, 1, c);
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        let (_, d1) = f.schedule_stream(&p, 10, Time::ZERO);
-        let (_, d2) = f.schedule_stream(&p, 10, Time::ZERO);
-        assert_eq!(d1, Time::from_cycles(11));
-        // Second stream waits for the link: starts at 10, head at 11, done 21.
-        assert_eq!(d2, Time::from_cycles(21));
+        // acceptable; either way the walk must fail, not hang.
+        assert!(f.walk(PeId::new(0, 0), c).outcome().is_err());
     }
 
     #[test]
@@ -538,35 +645,39 @@ mod tests {
         let mut f = Fabric::new(1, 1);
         let c = Color::new(0);
         f.set_rule(PeId::new(0, 0), c, ramp_rule(None));
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        assert_eq!(p.dest, PeId::new(0, 0));
-        assert!(p.hops.is_empty());
+        assert_eq!(f.walk(PeId::new(0, 0), c).outcome(), Ok(PeId::new(0, 0)));
+        assert_eq!(f.hop(PeId::new(0, 0), c), None);
     }
 
     #[test]
     fn self_loop_rule_is_typed_error_not_hang() {
         // (0,1) bounces the stream straight back West; (0,0)'s rule expects
-        // origin input (None), so the returning stream is a RouteMismatch.
-        // The resolver must surface a typed error, never spin.
+        // origin input (None), so the returning stream is a mismatch. The
+        // walk must surface a typed error, never spin.
         let mut f = Fabric::new(1, 2);
-        let c = Color::new(4);
-        f.set_rule(PeId::new(0, 0), c, east_rule(None));
+        let (pe, c) = (PeId::new(0, 0), Color::new(4));
+        f.set_rule(pe, c, east_rule(None));
         f.set_rule(
             PeId::new(0, 1),
             c,
             RouteRule::new(Some(Direction::West), &[Direction::West]),
         );
-        assert!(matches!(
-            f.resolve_path(PeId::new(0, 0), c, None),
-            Err(SimError::RouteMismatch { .. })
-        ));
+        let mismatch = RouteFault::Mismatch {
+            at: pe,
+            arrived_from: Some(Direction::East),
+            accepts: None,
+        };
+        assert_eq!(
+            fault(&f, pe, c),
+            (mismatch, SimError::RouteMismatch { pe, color: c })
+        );
     }
 
     #[test]
     fn rampless_ring_is_typed_error_not_hang() {
         // A consistent 2×2 ring with no RAMP anywhere: every hop's input
-        // matches, so the walk only terminates via the hop bound, which must
-        // surface as RoutingLoop rather than iterating forever.
+        // matches, so the walk only terminates via its bound, which must
+        // surface as a loop rather than iterating forever.
         let mut f = Fabric::new(2, 2);
         let c = Color::new(5);
         let rule = |input: Direction, out: Direction| RouteRule::new(Some(input), &[out]);
@@ -575,21 +686,25 @@ mod tests {
         f.set_rule(PeId::new(1, 1), c, rule(Direction::North, Direction::West));
         f.set_rule(PeId::new(1, 0), c, rule(Direction::East, Direction::North));
         // Enter the ring as if arriving at (0,0) from the south.
-        assert!(matches!(
-            f.resolve_path(PeId::new(0, 0), c, Some(Direction::South)),
-            Err(SimError::RoutingLoop { .. })
-        ));
+        let src = PeId::new(0, 0);
+        let walk = RouteWalk::new((2, 2), |pe| f.packed(pe, c), src, Some(Direction::South), 5);
+        let fault = walk.outcome().unwrap_err();
+        assert_eq!(fault, RouteFault::Loop);
+        assert_eq!(
+            fault.sim_error(src, c),
+            SimError::RoutingLoop { pe: src, color: c }
+        );
     }
 
     #[test]
     fn rule_with_no_outputs_is_typed_error() {
         let mut f = Fabric::new(1, 1);
-        let c = Color::new(6);
-        f.set_rule(PeId::new(0, 0), c, RouteRule::new(None, &[]));
-        assert!(matches!(
-            f.resolve_path(PeId::new(0, 0), c, None),
-            Err(SimError::NoRoute { .. })
-        ));
+        let (pe, c) = (PeId::new(0, 0), Color::new(6));
+        f.set_rule(pe, c, RouteRule::new(None, &[]));
+        assert_eq!(
+            fault(&f, pe, c),
+            (RouteFault::NoOutput(pe), SimError::NoRoute { pe, color: c })
+        );
     }
 
     #[test]
@@ -618,19 +733,5 @@ mod tests {
         let c = Color::new(8);
         f.set_rule(PeId::new(0, 1), c, east_rule(None)); // east of col 1 = off-mesh
         assert!(f.origins_reaching(PeId::new(0, 0), c).is_empty());
-    }
-
-    #[test]
-    fn zero_length_path_delivers_locally() {
-        // A color routed RAMP→RAMP on one PE (local loopback).
-        let mut f = Fabric::new(1, 1);
-        let c = Color::new(2);
-        f.set_rule(PeId::new(0, 0), c, ramp_rule(None));
-        let p = f.resolve_path(PeId::new(0, 0), c, None).unwrap();
-        assert_eq!(p.dest, PeId::new(0, 0));
-        assert!(p.hops.is_empty());
-        let (s, d) = f.schedule_stream(&p, 8, Time::from_cycles(5));
-        assert_eq!(s, Time::from_cycles(13));
-        assert_eq!(d, Time::from_cycles(13));
     }
 }

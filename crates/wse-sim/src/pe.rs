@@ -164,6 +164,9 @@ pub(crate) struct PeState {
     /// scan and the cycle-stepped poll skip idle PEs without walking the
     /// ports.
     pub pending_count: u32,
+    /// One bit per [`Color::index`]: the colors whose route from this PE
+    /// was checked on its first send.
+    pub routes_checked: u32,
     /// Local SRAM accounting.
     pub memory: MemoryTracker,
     /// Data emitted off-PE for the host.
@@ -179,6 +182,7 @@ impl PeState {
             busy_until: Time::ZERO,
             ports: Ports::new(),
             pending_count: 0,
+            routes_checked: 0,
             memory: MemoryTracker::new(sram_bytes),
             outputs: Vec::new(),
             stats: PeStats::default(),

@@ -8,6 +8,12 @@
 //! every link *leaving* one of its PEs (including the southward/northward
 //! links into neighbor rows).
 //!
+//! Streams are not stored as paths. A PE's first send on a color checks the
+//! route with [`Fabric::walk`] (one bit per color on the PE remembers it);
+//! every stream then follows the immutable rule table hop by hop
+//! ([`Shard::stream_walk`]), and one crossing into another row travels as a
+//! [`EventKind::Transit`] naming only the PE it has reached.
+//!
 //! All event timestamps are integer [`Time`] ticks, so the heap order — and
 //! with it every tie-break — is exact integer comparison: there is no float
 //! rounding anywhere in the timing path.
@@ -54,10 +60,9 @@
 //! the final [`crate::RunReport`] bit-identical at any thread count.
 
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
 
 use crate::error::SimError;
-use crate::fabric::{Color, Fabric, Hop, LINK_SLOTS};
+use crate::fabric::{Color, Fabric, LINK_SLOTS};
 use crate::flight::{FlightShard, Record};
 use crate::geom::{Direction, PeId};
 use crate::pe::{PeState, PendingRecv};
@@ -80,15 +85,12 @@ pub(crate) enum EventKind {
         color: Color,
         data: Vec<u32>,
     },
-    /// A stream crossing into this shard: continue walking `hops[at..]`
-    /// (that hop's `from` belongs to this shard) with the head wavelet
-    /// arriving at the event time, then deliver `data` at `dest`. The hop
-    /// list is shared (`Arc`) so a boundary handoff clones a pointer and an
-    /// index, never the path itself.
+    /// A stream crossing into this shard: its head wavelet reaches `pe` at
+    /// the event time, and the walk continues from there along the rule
+    /// table to the delivering PE. The route was checked when its source
+    /// first sent on `color`, so the PE alone says where the stream goes.
     Transit {
-        hops: Arc<[Hop]>,
-        at: usize,
-        dest: PeId,
+        pe: PeId,
         color: Color,
         data: Vec<u32>,
     },
@@ -97,17 +99,13 @@ pub(crate) enum EventKind {
 impl EventKind {
     /// Mesh row whose shard must process this event.
     pub(crate) fn target_row(&self) -> usize {
-        match self {
-            Self::Activate { pe, .. } | Self::Deliver { pe, .. } => pe.row,
-            Self::Transit { hops, at, dest, .. } => hops.get(*at).map_or(dest.row, |h| h.from.row),
-        }
+        self.target_pe().row
     }
 
     /// The PE this event concerns (for error reporting).
     pub(crate) fn target_pe(&self) -> PeId {
         match self {
-            Self::Activate { pe, .. } | Self::Deliver { pe, .. } => *pe,
-            Self::Transit { hops, at, dest, .. } => hops.get(*at).map_or(*dest, |h| h.from),
+            Self::Activate { pe, .. } | Self::Deliver { pe, .. } | Self::Transit { pe, .. } => *pe,
         }
     }
 }
@@ -178,10 +176,6 @@ pub(crate) struct EngineCtx<'a> {
     pub(crate) fabric: &'a Fabric,
 }
 
-/// A source PE's resolved path on one color: the hops and the delivering
-/// PE.
-type SendPath = (Color, Arc<[Hop]>, PeId);
-
 /// One mesh row's worth of simulation state.
 pub(crate) struct Shard {
     pub(crate) row: usize,
@@ -201,12 +195,6 @@ pub(crate) struct Shard {
     /// `[col * LINK_SLOTS + dir.index()]` (every owned link leaves a PE of
     /// this row, so the column identifies the PE).
     links: Vec<Time>,
-    /// Resolved send paths per column, one entry per color the PE has sent
-    /// on, filled on its first send: routing rules are immutable during a
-    /// run, so a source's path never changes. A PE sends on at most a few
-    /// colors, so a linear scan finds the entry. Entries share their hop
-    /// list with in-flight events.
-    paths: Vec<Vec<SendPath>>,
     /// Pooled effect buffer lent to each `TaskCtx`, so steady-state task
     /// execution allocates nothing per event.
     fx_buf: Vec<Effect>,
@@ -242,7 +230,6 @@ impl Shard {
             free: Vec::new(),
             seq: seq0,
             links: vec![Time::ZERO; cols * LINK_SLOTS],
-            paths: (0..cols).map(|_| Vec::new()).collect(),
             fx_buf: Vec::new(),
             events_processed: 0,
             flight: flight_window.map(|w| FlightShard::new(w, cols)),
@@ -465,81 +452,66 @@ impl Shard {
                     self.finish = self.finish.max(end);
                 }
             }
-            EventKind::Transit {
-                hops,
-                at,
-                dest,
-                color,
-                data,
-            } => {
+            EventKind::Transit { pe, color, data } => {
                 // A stream entering from a neighbor shard: its head wavelet
-                // arrives on our first hop at the event time.
-                self.stream_walk(time, &hops, at, dest, color, data);
+                // reaches `pe` at the event time.
+                self.stream_walk(time, pe, color, data, ctx.fabric);
             }
         }
         Ok(None)
     }
 
-    /// Walk a stream's remaining hops (`hops[at..]`), reserving each link
-    /// this shard owns. Hands the stream off through the outbox at the first
-    /// hop owned by a neighbor shard, or schedules the final delivery.
+    /// Walk a stream from `pe`, whose rule accepted it, along the rule
+    /// table, reserving each link this shard owns. Hands the stream off
+    /// through the outbox at the first PE of a neighbor shard that forwards
+    /// it, or schedules the delivery.
     ///
-    /// Reservation per hop matches [`Fabric::schedule_stream`] exactly:
-    /// the link is occupied for `n` cycles, the head wavelet advances one
-    /// cycle per hop, and contention delays the stream on each link.
+    /// Per hop the link is occupied for `n` cycles, the head wavelet
+    /// advances one cycle, and contention delays the stream on each link;
+    /// the last wavelet reaches the RAMP `n` cycles after the head.
     fn stream_walk(
         &mut self,
         start: Time,
-        hops: &Arc<[Hop]>,
-        at: usize,
-        dest: PeId,
+        mut pe: PeId,
         color: Color,
         data: Vec<u32>,
+        fabric: &Fabric,
     ) {
         let n = data.len() as u64;
         let n_time = Time::from_cycles(n);
         let mut head = start;
-        for (i, hop) in hops.iter().enumerate().skip(at) {
-            if hop.from.row != self.row {
-                self.outbox.push(BoundaryMsg {
-                    time: head,
-                    dest_row: hop.from.row,
-                    kind: EventKind::Transit {
-                        hops: Arc::clone(hops),
-                        at: i,
-                        dest,
-                        color,
-                        data,
-                    },
-                });
-                return;
-            }
-            let slot = &mut self.links[hop.from.col * LINK_SLOTS + hop.dir.index()];
+        while let Some((dir, next)) = fabric.hop(pe, color) {
+            let slot = &mut self.links[pe.col * LINK_SLOTS + dir.index()];
             let link_start = head.max(*slot);
             *slot = link_start + n_time;
             if let Some(flight) = &mut self.flight {
                 flight.record(Record::LinkWait {
-                    from: hop.from,
-                    to: hop.to,
+                    from: pe,
+                    to: next,
                     head,
                     start: link_start,
                     n,
                 });
             }
             head = link_start + HORIZON; // per-hop latency for the head wavelet
+            pe = next;
+            if pe.row != self.row && fabric.hop(pe, color).is_some() {
+                self.outbox.push(BoundaryMsg {
+                    time: head,
+                    dest_row: pe.row,
+                    kind: EventKind::Transit { pe, color, data },
+                });
+                return;
+            }
         }
         let delivered = head + n_time; // last wavelet arrives n cycles after head
-        let kind = EventKind::Deliver {
-            pe: dest,
-            color,
-            data,
-        };
-        if dest.row == self.row {
+        let kind = EventKind::Deliver { pe, color, data };
+        if pe.row == self.row {
             self.push(delivered, kind);
         } else {
             self.outbox.push(BoundaryMsg {
                 time: delivered,
-                dest_row: dest.row,
+                dest_row: pe.row,
                 kind,
             });
         }
@@ -604,35 +576,19 @@ impl Shard {
                     activate,
                 } => {
                     let n = data.len();
-                    self.pes[idx].stats.wavelets_sent += n as u64;
-                    // Routing rules are immutable during the run, so the
-                    // resolved path of (source PE, color) is too — resolve it
-                    // once and share the hop list with every stream. The
-                    // PE's paths are lent out for the walk, so a stream that
-                    // stays in this shard never touches the hop list's
-                    // reference count.
-                    let mut paths = std::mem::take(&mut self.paths[idx]);
-                    let slot = match paths.iter().position(|(c, ..)| *c == color) {
-                        Some(slot) => slot,
-                        None => {
-                            let path = ctx.fabric.resolve_path(pe, color, None)?;
-                            let hops: Arc<[Hop]> = path.hops.into();
-                            paths.reserve_exact(1);
-                            paths.push((color, hops, path.dest));
-                            paths.len() - 1
-                        }
-                    };
-                    let (_, hops, dest) = &paths[slot];
-                    let src_done = end + Time::from_cycles(n as u64);
-                    if hops.is_empty() {
-                        // RAMP→RAMP loopback: delivery is local by
-                        // definition and takes the stream length.
-                        let pe = *dest;
-                        self.push(src_done, EventKind::Deliver { pe, color, data });
-                    } else {
-                        self.stream_walk(end, hops, 0, *dest, color, data);
+                    let state = &mut self.pes[idx];
+                    state.stats.wavelets_sent += n as u64;
+                    // Routing rules are immutable during the run, so a
+                    // route checked on the PE's first send on a color stays
+                    // sound; every stream then follows the table.
+                    let bit = 1 << color.index();
+                    if state.routes_checked & bit == 0 {
+                        let walk = ctx.fabric.walk(pe, color).outcome();
+                        walk.map_err(|fault| fault.sim_error(pe, color))?;
+                        state.routes_checked |= bit;
                     }
-                    self.paths[idx] = paths;
+                    self.stream_walk(end, pe, color, data, ctx.fabric);
+                    let src_done = end + Time::from_cycles(n as u64);
                     if let Some(t) = activate {
                         self.push(src_done, EventKind::Activate { pe, task: t });
                     }
@@ -668,7 +624,12 @@ impl Shard {
                     self.push(end, EventKind::Activate { pe, task });
                 }
                 Effect::Emit { data } => {
-                    self.pes[idx].outputs.push(data);
+                    // Most PEs emit once: no spare slots on the first push.
+                    let outputs = &mut self.pes[idx].outputs;
+                    if outputs.capacity() == 0 {
+                        outputs.reserve_exact(1);
+                    }
+                    outputs.push(data);
                 }
             }
         }

@@ -713,6 +713,177 @@ mod tests {
         assert_eq!(report.stats().finish_cycle, cyc(12));
     }
 
+    /// Sends `blocks` on C0 from task T0 and, from task T1, emits the
+    /// cycle its receive of `extent` wavelets completed at, posting the next
+    /// receive while `left` remain.
+    struct Stamp {
+        blocks: Vec<Vec<u32>>,
+        extent: usize,
+        left: usize,
+    }
+    impl PeProgram for Stamp {
+        fn on_task(&mut self, ctx: &mut TaskCtx<'_>, t: TaskId) -> Result<(), SimError> {
+            if t == T0 {
+                for block in self.blocks.drain(..) {
+                    ctx.send_async(C0, block, None);
+                }
+            } else {
+                let _ = ctx.take_received(C0);
+                let cycle = ctx.now().ticks() / cyc(1).ticks();
+                ctx.emit(vec![u32::try_from(cycle).unwrap()]);
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.recv_async(C0, self.extent, T1);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Delivery cycles seen at `dest` when `src` sends `blocks` at cycle
+    /// `at` along `route`, with free task dispatch so the stream leaves at
+    /// `at` itself.
+    fn delivery_cycles(
+        (rows, cols): (usize, usize),
+        route: impl FnOnce(&mut Simulator),
+        (src, dest): (PeId, PeId),
+        blocks: Vec<Vec<u32>>,
+        at: u64,
+    ) -> Vec<Vec<u32>> {
+        let mut cost = CostModel::unit();
+        cost.task_overhead = Time::ZERO;
+        let mut sim = Simulator::new(MeshConfig::new(rows, cols).with_cost(cost));
+        route(&mut sim);
+        let (extent, left) = (blocks[0].len(), blocks.len());
+        let receiver = Stamp {
+            blocks: Vec::new(),
+            extent,
+            left,
+        };
+        // The sender goes in last: on a loopback its one PE does both.
+        sim.set_program(dest, Box::new(receiver));
+        sim.set_program(
+            src,
+            Box::new(Stamp {
+                blocks,
+                extent,
+                left,
+            }),
+        );
+        sim.post_recv(dest, C0, extent, T1);
+        sim.activate(src, T0, cyc(at));
+        sim.run().unwrap().outputs(dest).to_vec()
+    }
+
+    #[test]
+    fn stream_timing_no_contention() {
+        // 32 wavelets over 2 hops from cycle 0: the head reaches the
+        // destination at 2, the last wavelet 32 cycles later.
+        let (src, dest) = (PeId::new(0, 0), PeId::new(0, 2));
+        let delivered = delivery_cycles(
+            (1, 3),
+            |sim| sim.route_east_chain(0, 0, 2, C0),
+            (src, dest),
+            vec![vec![7; 32]],
+            0,
+        );
+        assert_eq!(delivered, [[34]]);
+    }
+
+    #[test]
+    fn streams_serialize_on_shared_link() {
+        // Two 10-wavelet streams leave at 0 on one link: the second waits
+        // for the link until 10, its head lands at 11, its tail at 21.
+        let delivered = delivery_cycles(
+            (1, 2),
+            |sim| sim.route_east_chain(0, 0, 1, C0),
+            (PeId::new(0, 0), PeId::new(0, 1)),
+            vec![vec![1; 10], vec![2; 10]],
+            0,
+        );
+        assert_eq!(delivered, [[11], [21]]);
+    }
+
+    #[test]
+    fn zero_length_path_delivers_locally() {
+        // RAMP→RAMP on one PE: 8 wavelets sent at 5 land at 13.
+        let pe = PeId::new(0, 0);
+        let delivered = delivery_cycles(
+            (1, 1),
+            |sim| sim.route(pe, C0, None, &[Direction::Ramp]),
+            (pe, pe),
+            vec![vec![3; 8]],
+            5,
+        );
+        assert_eq!(delivered, [[13]]);
+    }
+
+    #[test]
+    fn route_turns_after_crossing_a_shard_boundary() {
+        // East in row 0, south into row 1, east again, then deliver: the
+        // stream is handed off at (1,1) and row 1 keeps walking the table.
+        // Row 2 carries independent traffic, so two exact threads really
+        // run two groups. Send ends at 1; head lands at 1 + 3 hops = 4; the
+        // last of 4 wavelets at 8; the receive runs 8 → 13.
+        let run = |threads: usize, engine: EngineMode| {
+            let cfg = MeshConfig::new(3, 3)
+                .with_cost(CostModel::unit())
+                .with_threads_exact(threads)
+                .with_engine(engine);
+            let mut sim = Simulator::new(cfg);
+            sim.route(PeId::new(0, 0), C0, None, &[Direction::East]);
+            sim.route(
+                PeId::new(0, 1),
+                C0,
+                Some(Direction::West),
+                &[Direction::South],
+            );
+            sim.route(
+                PeId::new(1, 1),
+                C0,
+                Some(Direction::North),
+                &[Direction::East],
+            );
+            sim.route(
+                PeId::new(1, 2),
+                C0,
+                Some(Direction::West),
+                &[Direction::Ramp],
+            );
+            sim.route_east_chain(2, 0, 2, C0);
+            for (src, dest) in [
+                (PeId::new(0, 0), PeId::new(1, 2)),
+                (PeId::new(2, 0), PeId::new(2, 2)),
+            ] {
+                sim.set_program(src, Box::new(SendBlock));
+                sim.set_program(dest, Box::new(DoubleAndEmit));
+                sim.post_recv(dest, C0, 4, T1);
+                sim.activate(src, T0, Time::ZERO);
+            }
+            sim.run().unwrap()
+        };
+        let report = run(1, EngineMode::EventDriven);
+        assert_eq!(report.outputs(PeId::new(1, 2)), &[vec![2, 4, 6, 8]]);
+        assert_eq!(report.stats().finish_cycle, cyc(13));
+        assert_eq!(run(2, EngineMode::EventDriven), report);
+        assert_eq!(run(2, EngineMode::CycleStepped), report);
+    }
+
+    #[test]
+    fn send_on_an_unrouted_color_fails_at_the_sender() {
+        let cfg = MeshConfig::new(1, 2).with_cost(CostModel::unit());
+        let mut sim = Simulator::new(cfg);
+        sim.set_program(PeId::new(0, 1), Box::new(SendBlock));
+        sim.activate(PeId::new(0, 1), T0, Time::ZERO);
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::NoRoute {
+                pe: PeId::new(0, 1),
+                color: C0
+            }
+        );
+    }
+
     #[test]
     fn injection_feeds_a_recv() {
         let cfg = MeshConfig::new(1, 1).with_cost(CostModel::unit());

@@ -6,9 +6,10 @@
 //! reports.
 //!
 //! Cost is linear in the declarations plus the mesh area. Routes live on the
-//! fabric's own slot layout — one `u32` per `(PE, color)`, indexed
-//! `pe.index(cols) * COLOR_SLOTS + color.index()` as in [`wse_sim::Fabric`]
-//! — so a hop of a route walk is one array read; the channel, SRAM and task
+//! fabric's own slot layout — one [`PackedRule`] byte per `(PE, color)`,
+//! indexed `pe.index(cols) * COLOR_SLOTS + color.index()` as in
+//! [`wse_sim::Fabric`] — and are walked by the simulator's own
+//! [`RouteWalk`], so a hop is one array read; the channel, SRAM and task
 //! tables are declarations sorted by PE.
 //!
 //! [`wse_sim::Fabric`]: wse_sim::fabric::Fabric
@@ -16,7 +17,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use wse_sim::fabric::COLOR_SLOTS;
+use wse_sim::fabric::{PackedRule, RouteFault, RouteWalk, COLOR_SLOTS};
 use wse_sim::{Color, Direction, PeId, RouteRule};
 
 use crate::diagnostic::{CheckKind, Diagnostic, Severity};
@@ -121,12 +122,20 @@ impl<T: Copy + PartialEq> SlotMap<T> {
         pe.row < self.rows && pe.col < self.cols
     }
 
-    fn get(&self, pe: PeId, color: Color) -> Option<T> {
-        let value = if self.on_mesh(pe) {
+    /// The value of `(pe, color)`, `vacant` when unset.
+    fn at(&self, pe: PeId, color: Color) -> T {
+        if self.on_mesh(pe) {
             self.slots[pe.index(self.cols) * COLOR_SLOTS + color.index()]
         } else {
-            *self.off_mesh.get(&loc(pe, color))?
-        };
+            self.off_mesh
+                .get(&loc(pe, color))
+                .copied()
+                .unwrap_or(self.vacant)
+        }
+    }
+
+    fn get(&self, pe: PeId, color: Color) -> Option<T> {
+        let value = self.at(pe, color);
         (value != self.vacant).then_some(value)
     }
 
@@ -180,74 +189,11 @@ fn merge_by_pe<T>(
     })
 }
 
-/// Where a rule sends a stream.
-enum Out {
-    /// Delivered to this PE's RAMP.
-    Ramp,
-    /// Forwarded to the neighbor in this direction.
-    Forward(Direction),
-    NoOutput,
-    Multicast,
-}
-
-/// Directions by [`Direction::index`].
-const DIRECTIONS: [Direction; 5] = [
-    Direction::North,
-    Direction::South,
-    Direction::East,
-    Direction::West,
-    Direction::Ramp,
-];
-
-const OUT_RAMP: u8 = 4;
-const OUT_NONE: u8 = 5;
-const OUT_MULTICAST: u8 = 6;
-
-/// A rule as a route walk reads it, in one byte: `8 * input + output`.
-/// `input` is 0 for the PE's own RAMP and `1 + d.index()` for `Some(d)`;
-/// `output` is `d.index()` for forwarding toward neighbor `d`, else an
-/// `OUT_*` code.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Packed(u8);
-
-impl Packed {
-    const VACANT: Packed = Packed(u8::MAX);
-
-    fn new(rule: &RouteRule) -> Self {
-        let code = |d: Direction| u8::try_from(d.index()).expect("5 directions");
-        let input = rule.input.map_or(0, |d| 1 + code(d));
-        let output = if rule.outputs.contains(Direction::Ramp) {
-            OUT_RAMP
-        } else {
-            let mut dirs = rule.outputs.iter();
-            match (dirs.next(), dirs.next()) {
-                (None, _) => OUT_NONE,
-                (Some(d), None) => code(d),
-                _ => OUT_MULTICAST,
-            }
-        };
-        Packed(8 * input + output)
-    }
-
-    fn input(self) -> Option<Direction> {
-        (self.0 >= 8).then(|| DIRECTIONS[usize::from(self.0 / 8 - 1)])
-    }
-
-    fn out(self) -> Out {
-        match self.0 % 8 {
-            OUT_RAMP => Out::Ramp,
-            OUT_NONE => Out::NoOutput,
-            OUT_MULTICAST => Out::Multicast,
-            d => Out::Forward(DIRECTIONS[usize::from(d)]),
-        }
-    }
-}
-
 /// The effective routing table: one rule per `(PE, color)`, the last claim
 /// winning as on the dynamic fabric, whose `Fabric::set_rule` overwrites.
 /// Conflicting re-claims are reported by the color-discipline check.
 pub(crate) struct RouteIndex {
-    rules: SlotMap<Packed>,
+    rules: SlotMap<PackedRule>,
     /// The pair of every re-claim, in declaration order.
     reclaimed: Vec<Loc>,
     /// Pairs with a rule, per color: a walk on a color that crosses more
@@ -255,34 +201,19 @@ pub(crate) struct RouteIndex {
     per_color: [usize; COLOR_SLOTS],
 }
 
-/// How a stream's hop-by-hop walk ended.
-enum Walk {
-    Delivered(PeId),
-    NoRule(PeId),
-    Mismatch {
-        at: PeId,
-        arrived_from: Option<Direction>,
-        accepts: Option<Direction>,
-    },
-    NoOutput(PeId),
-    Multicast(PeId),
-    OffMesh(PeId, Direction),
-    Cycle,
-}
-
 impl RouteIndex {
     pub(crate) fn new(manifest: &MappingManifest) -> Self {
-        let mut rules = SlotMap::new(manifest.rows, manifest.cols, Packed::VACANT);
+        let mut rules = SlotMap::new(manifest.rows, manifest.cols, PackedRule::VACANT);
         let mut reclaimed = Vec::new();
         let mut per_color = [0; COLOR_SLOTS];
         for r in &manifest.routes {
             let slot = rules.slot(r.pe, r.color);
-            if *slot == Packed::VACANT {
+            if slot.is_vacant() {
                 per_color[r.color.index()] += 1;
             } else {
                 reclaimed.push(loc(r.pe, r.color));
             }
-            *slot = Packed::new(&r.rule);
+            *slot = PackedRule::new(r.rule);
         }
         Self {
             rules,
@@ -291,43 +222,22 @@ impl RouteIndex {
         }
     }
 
-    /// Walk `src`'s stream on `color` hop by hop, pushing every PE it
-    /// crosses (source first, delivering PE last) onto `path` when given.
-    fn walk(&self, src: PeId, color: Color, mut path: Option<&mut Vec<PeId>>) -> Walk {
-        let (rows, cols) = (self.rules.rows, self.rules.cols);
-        let mut cur = src;
-        let mut arrived_from: Option<Direction> = None;
-        for _ in 0..=self.per_color[color.index()] {
-            let Some(rule) = self.rules.get(cur, color) else {
-                return Walk::NoRule(cur);
-            };
-            if rule.input() != arrived_from {
-                return Walk::Mismatch {
-                    at: cur,
-                    arrived_from,
-                    accepts: rule.input(),
-                };
-            }
-            if let Some(path) = path.as_deref_mut() {
-                path.push(cur);
-            }
-            let dir = match rule.out() {
-                Out::Ramp => return Walk::Delivered(cur),
-                Out::NoOutput => return Walk::NoOutput(cur),
-                Out::Multicast => return Walk::Multicast(cur),
-                Out::Forward(dir) => dir,
-            };
-            let Some(next) = cur.neighbor(dir, rows, cols) else {
-                return Walk::OffMesh(cur, dir);
-            };
-            arrived_from = Some(dir.opposite());
-            cur = next;
-        }
-        // More PEs crossed than `color` has rules: one was crossed twice.
-        // Each rule accepts one input, so a walk could only re-enter its path
-        // at the origin, whose rule accepts the RAMP alone; the bound keeps
-        // every walk finite regardless.
-        Walk::Cycle
+    /// Walk the stream entering `src` from `from` on `color` (`None` =
+    /// sent by `src`). A walk on a color that crosses more PEs than the
+    /// color has rules has crossed one twice, so that count bounds it.
+    fn walk(
+        &self,
+        src: PeId,
+        color: Color,
+        from: Option<Direction>,
+    ) -> RouteWalk<impl Fn(PeId) -> PackedRule + '_> {
+        RouteWalk::new(
+            (self.rules.rows, self.rules.cols),
+            move |pe| self.rules.at(pe, color),
+            src,
+            from,
+            self.per_color[color.index()] + 1,
+        )
     }
 
     /// Silent hop-by-hop walk of `src`'s stream on `color`.
@@ -339,21 +249,9 @@ impl RouteIndex {
     /// the static performance analysis, which needs every link a stream
     /// crosses rather than just its destination.
     pub(crate) fn path(&self, src: PeId, color: Color) -> Option<Vec<PeId>> {
-        let mut path = Vec::new();
-        match self.walk(src, color, Some(&mut path)) {
-            Walk::Delivered(_) => Some(path),
-            _ => None,
-        }
-    }
-
-    /// The neighbor `pe`'s rule on `color` forwards to, provided that
-    /// neighbor's rule accepts the stream.
-    fn successor(&self, pe: PeId, color: Color) -> Option<PeId> {
-        let Out::Forward(dir) = self.rules.get(pe, color)?.out() else {
-            return None; // delivers, or a defect the path walk reports
-        };
-        let next = pe.neighbor(dir, self.rules.rows, self.rules.cols)?;
-        (self.rules.get(next, color)?.input() == Some(dir.opposite())).then_some(next)
+        let mut walk = self.walk(src, color, None);
+        let path = walk.by_ref().collect();
+        walk.outcome().is_ok().then_some(path)
     }
 }
 
@@ -370,17 +268,24 @@ impl Origins {
     }
 }
 
-/// Turn a failed walk of `src`'s stream into its diagnostic.
-fn walk_diagnostic(walk: Walk, table: &RouteIndex, src: PeId, color: Color) -> Option<Diagnostic> {
+/// Turn the failed walk of `src`'s stream into its diagnostic.
+fn walk_diagnostic(
+    outcome: Result<PeId, RouteFault>,
+    table: &RouteIndex,
+    src: PeId,
+    color: Color,
+) -> Option<Diagnostic> {
     let (rows, cols) = (table.rules.rows, table.rules.cols);
-    let (at, message, hint) = match walk {
-        Walk::Delivered(_) => return None,
-        Walk::NoRule(at) => (
+    let Err(fault) = outcome else {
+        return None;
+    };
+    let (at, message, hint) = match fault {
+        RouteFault::NoRule(at) => (
             at,
             format!("stream from {src} needs a routing rule here, but none is installed"),
             "install a rule with Simulator::route before injecting on this color",
         ),
-        Walk::Mismatch {
+        RouteFault::Mismatch {
             at,
             arrived_from,
             accepts,
@@ -391,24 +296,23 @@ fn walk_diagnostic(walk: Walk, table: &RouteIndex, src: PeId, color: Color) -> O
             ),
             "the rule's input direction must match the upstream hop",
         ),
-        Walk::NoOutput(at) => (
+        RouteFault::NoOutput(at) => (
             at,
             format!("rule on the path from {src} has no output direction"),
             "add an output direction or Ramp to the rule",
         ),
-        Walk::Multicast(at) => (
+        RouteFault::Multicast(at) => (
             at,
             format!("rule on the path from {src} is multicast (several non-RAMP outputs)"),
             "the simulator streams are unicast; relay explicitly instead",
         ),
-        Walk::OffMesh(at, dir) => (
+        RouteFault::OffMesh(at, dir) => (
             at,
             format!("rule outputs {dir:?} off the {rows}x{cols} mesh"),
             "shrink the route or grow the mesh shape",
         ),
-        Walk::Cycle => {
-            let mut members = Vec::new();
-            table.walk(src, color, Some(&mut members));
+        RouteFault::Loop => {
+            let mut members: Vec<PeId> = table.walk(src, color, None).collect();
             members.sort_unstable();
             members.dedup();
             (
@@ -473,21 +377,15 @@ fn check_route_soundness(
             continue; // this origin already resolved
         }
         *slot = u32::try_from(origins.dests.len()).expect("fewer than 2^32 send origins");
-        let walk = table.walk(s.pe, s.color, None);
-        origins.dests.push(match walk {
-            Walk::Delivered(dest) => Some(dest),
-            _ => None,
-        });
-        diags.extend(walk_diagnostic(walk, table, s.pe, s.color));
+        let outcome = table.walk(s.pe, s.color, None).outcome();
+        origins.dests.push(outcome.ok());
+        diags.extend(walk_diagnostic(outcome, table, s.pe, s.color));
     }
     check_rampless_cycles(table, diags);
     // Origin rules (input = None, not a local loopback) that no declared
     // sender uses: suspicious — likely a missing declaration.
     for (pe, color, rule) in table.rules.iter() {
-        if rule.input().is_none()
-            && !matches!(rule.out(), Out::Ramp)
-            && origins.walked.get(pe, color).is_none()
-        {
+        if rule.input().is_none() && !rule.delivers() && origins.walked.get(pe, color).is_none() {
             diags.push(
                 Diagnostic::warning(
                     CheckKind::RouteSoundness,
@@ -507,23 +405,23 @@ fn check_route_soundness(
 ///
 /// A rule's successor is the neighbor its single non-RAMP output points at,
 /// provided that neighbor's rule accepts the stream (input = opposite
-/// direction). Rules that output to RAMP deliver and have no successor. A
-/// cycle in this graph is a set of rules that forward to each other forever
-/// without delivering — data entering it is lost and its sender's
-/// downstream receives deadlock, so it is an error even when no declared
-/// sender currently feeds it.
+/// direction): the next PE a route walk yields. Rules that output to RAMP
+/// deliver and have no successor. A cycle in this graph is a set of rules
+/// that forward to each other forever without delivering — data entering it
+/// is lost and its sender's downstream receives deadlock, so it is an error
+/// even when no declared sender currently feeds it.
 ///
-/// Each color's PEs are walked in `(row, col)` order, following successors
-/// until a PE seen before. A per-PE stamp records which walk saw it: a stamp
-/// from this walk closes a cycle, one from an earlier walk of the same color
-/// joins explored ground.
+/// Each color's PEs are walked in `(row, col)` order, each entering its own
+/// rule from that rule's input, until the walk yields a PE seen before. A
+/// per-PE stamp records which walk saw it: a stamp from this walk closes a
+/// cycle, one from an earlier walk of the same color joins explored ground.
 fn check_rampless_cycles(table: &RouteIndex, diags: &mut Vec<Diagnostic>) {
     let rules = &table.rules;
     let mesh_pes = rules.rows * rules.cols;
     // Each color's mesh PEs in row-major order, from one pass over the table.
     let mut by_color: Vec<Vec<usize>> = vec![Vec::new(); COLOR_SLOTS];
     for (s, &rule) in rules.slots.iter().enumerate() {
-        if rule != Packed::VACANT {
+        if !rule.is_vacant() {
             by_color[s % COLOR_SLOTS].push(s / COLOR_SLOTS);
         }
     }
@@ -556,8 +454,8 @@ fn check_rampless_cycles(table: &RouteIndex, diags: &mut Vec<Diagnostic>) {
             }
             walk += 1;
             path.clear();
-            let mut cur = start;
-            loop {
+            let from = rules.at(start, color).input();
+            for cur in table.walk(start, color, from) {
                 let stamp = &mut stamps[stamp_of(cur)];
                 if *stamp == walk {
                     let pos = path.iter().position(|&p| p == cur).unwrap_or(0);
@@ -581,10 +479,6 @@ fn check_rampless_cycles(table: &RouteIndex, diags: &mut Vec<Diagnostic>) {
                 }
                 *stamp = walk;
                 path.push(cur);
-                match table.successor(cur, color) {
-                    Some(next) => cur = next,
-                    None => break,
-                }
             }
         }
     }
